@@ -240,9 +240,8 @@ void RunScanStats(SpateFramework* spate, const TraceGenerator& generator,
          static_cast<unsigned long long>(s.shared_pass_joins),
          static_cast<unsigned long long>(s.mid_pass_attaches),
          static_cast<unsigned long long>(s.waiters_detached));
-  printf("              %llu solo, %llu summary-only, %llu exclusive "
-         "sections, %llu leaf folds\n",
-         static_cast<unsigned long long>(s.solo_executes),
+  printf("              %llu summary-only, %llu exclusive sections, "
+         "%llu leaf folds\n",
          static_cast<unsigned long long>(s.summary_answers),
          static_cast<unsigned long long>(s.exclusive_runs),
          static_cast<unsigned long long>(s.leaves_folded));

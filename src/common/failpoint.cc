@@ -45,7 +45,7 @@ Site g_sites[] = {
     {"dfs.replicate",
      "RepairScan re-replication of one block", {}, {}, {}, {}},
     {"dfs.write_file",
-     "DFS file write (leaf, sidecar, summary, meta)", {}, {}, {}, {}},
+     "DFS file write (leaf, summary, meta)", {}, {}, {}, {}},
     {"index.add_leaf",
      "temporal-index leaf insertion (ingest + recovery)", {}, {}, {}, {}},
     {"index.load.day_summary",

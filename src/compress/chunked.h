@@ -28,7 +28,7 @@ class ThreadPool;
 /// size, CRC-32) over one contiguous `chunk_bytes`-sized slice of the text,
 /// so integrity is verified per part and the codec is recorded per part.
 /// Texts of at most `chunk_bytes` are stored as today's plain single
-/// envelope — small blobs (day summaries, sidecars, metadata) never pay the
+/// envelope — small blobs (day summaries, metadata) never pay the
 /// container overhead and stay byte-compatible with pre-container stores.
 ///
 /// Deterministic-ordering invariant: the partition depends only on the text

@@ -10,11 +10,14 @@
 #include "common/stopwatch.h"
 #include "compress/columnar.h"
 #include "core/columnar_leaf.h"
-#include "index/leaf_spatial.h"
 #include "telco/schema.h"
 
 namespace spate {
 namespace {
+
+/// Minimum in-window leaves before a scan fans out on the pool; shorter
+/// windows stay serial (fan-out overhead beats the win on a few leaves).
+constexpr size_t kMinParallelLeaves = 4;
 
 /// Failures that degraded-read mode absorbs: the data is gone or currently
 /// unreachable, but the in-memory summaries still answer for it. Anything
@@ -333,14 +336,6 @@ Status SpateFramework::Ingest(const Snapshot& snapshot) {
   const std::string path =
       LeafPath(snapshot.epoch_start) + (delta ? ".d" : "");
   SPATE_RETURN_IF_ERROR(dfs_->WriteFile(path, compressed));
-  // Optional per-leaf spatial sidecar.
-  if (options_.leaf_spatial_index) {
-    std::string sidecar;
-    SPATE_RETURN_IF_ERROR(codec_->Compress(
-        LeafSpatialIndex::Build(snapshot).Serialize(), &sidecar));
-    SPATE_RETURN_IF_ERROR(dfs_->WriteFile(
-        "/spate/spidx/" + FormatCompact(snapshot.epoch_start), sidecar));
-  }
   last_ingest_.store_seconds =
       dfs_->stats().simulated_write_seconds - io_before;
   last_ingest_.stored_bytes = compressed.size();
@@ -357,8 +352,7 @@ Status SpateFramework::Ingest(const Snapshot& snapshot) {
 
   // Day rollover: persist the completed day's summary (the index bytes S_i).
   const Timestamp day = TruncateToDay(snapshot.epoch_start);
-  if (options_.persist_summaries && last_day_persisted_ >= 0 &&
-      day != last_day_persisted_) {
+  if (last_day_persisted_ >= 0 && day != last_day_persisted_) {
     const CoveringNode covering =
         index_.FindCovering(last_day_persisted_, last_day_persisted_ + 86400);
     if (covering.level == IndexLevel::kDay && covering.summary != nullptr) {
@@ -383,10 +377,6 @@ Status SpateFramework::Ingest(const Snapshot& snapshot) {
     // is best-effort: a failed delete leaves a harmless orphan, never an
     // index entry without bytes.
     (void)dfs_->DeleteFile(path);
-    if (options_.leaf_spatial_index) {
-      (void)dfs_->DeleteFile("/spate/spidx/" +
-                             FormatCompact(snapshot.epoch_start));
-    }
     return add;
   }
 
@@ -492,10 +482,6 @@ Result<std::string> SpateFramework::MaterializeLeafWith(
   return text;
 }
 
-Result<std::string> SpateFramework::MaterializeLeaf(const LeafNode& leaf) {
-  return MaterializeLeafWith(leaf, &materialize_ctx_);
-}
-
 Status SpateFramework::DecodeLeafWith(const LeafNode& leaf,
                                       const LeafScanOptions& opts,
                                       DecodeContext* ctx,
@@ -585,10 +571,6 @@ size_t SpateFramework::RunDecay(const DecayPolicy& policy, Timestamp now) {
       [this](const LeafNode& leaf) {
         // Decay deletions are idempotent; an already-absent file is fine.
         (void)dfs_->DeleteFile(leaf.dfs_path);
-        if (options_.leaf_spatial_index) {
-          (void)dfs_->DeleteFile("/spate/spidx/" +
-                                 FormatCompact(leaf.epoch_start));
-        }
       },
       [this](const DayNode& day) {
         // Second decay stage: the persisted day summary goes too.
@@ -603,135 +585,63 @@ size_t SpateFramework::RunDecay(const DecayPolicy& policy, Timestamp now) {
   return evicted;
 }
 
-double SpateFramework::ThetaFor(IndexLevel level) const {
-  switch (level) {
-    case IndexLevel::kEpoch:
-    case IndexLevel::kDay:
-      return options_.theta_day;
-    case IndexLevel::kMonth:
-      return options_.theta_month;
-    case IndexLevel::kYear:
-    case IndexLevel::kRoot:
-      return options_.theta_year;
-  }
-  return options_.theta_day;
-}
-
 Result<QueryResult> SpateFramework::Execute(const ExplorationQuery& query) {
-  QueryResult result;
   if (query.window_begin >= query.window_end) {
     return Status::InvalidArgument("query window is empty");
   }
   // A request that arrives already expired must not touch storage at all.
   if (cancel_ != nullptr) SPATE_RETURN_IF_ERROR(cancel_->Check());
+  // Decayed window: no scan can add rows; the covering highlights answer.
+  if (!index_.WindowFullyResolved(query.window_begin, query.window_end)) {
+    return BuildAnswer(query, std::nullopt);
+  }
+  // Exact path, as a projected scan: columnar leaves decode only the needed
+  // column chunks / rows and box-disjoint leaves are skipped outright; the
+  // streamed snapshots are already restricted, and FilterSnapshotRows
+  // composes with that restriction to the same bytes the full-decode path
+  // produces.
+  QueryResult scan;
+  SPATE_RETURN_IF_ERROR(
+      ScanWindowProjected(query, [&](const Snapshot& snapshot) {
+        FilterSnapshotRows(snapshot, query, cells_, &scan.cdr_rows,
+                           &scan.nms_rows);
+      }));
+  scan.skipped_epochs = last_scan_.skipped_epochs;
+  return BuildAnswer(query, std::move(scan));
+}
 
-  if (index_.WindowFullyResolved(query.window_begin, query.window_end)) {
-    // Exact path: decompress the covered leaves and filter.
+QueryResult SpateFramework::BuildAnswer(
+    const ExplorationQuery& query, std::optional<QueryResult> scan) const {
+  QueryResult result;
+  if (scan.has_value() && scan->skipped_epochs.empty()) {
+    result = *std::move(scan);
     result.exact = true;
     result.served_from = IndexLevel::kEpoch;
-    Status scan;
-    if (options_.leaf_spatial_index && query.has_box &&
-        options_.leaf_layout == LeafLayout::kRow) {
-      // Row-store sidecar path. On columnar stores the embedded "@spidx"
-      // chunk supersedes the sidecar, so the projected scan wins below.
-      last_scan_ = ScanStats();
-      scan = ExecuteExactWithLeafIndex(query, &result);
-    } else {
-      // Projected scan: columnar leaves decode only the needed column
-      // chunks / rows and box-disjoint leaves are skipped outright; the
-      // streamed snapshots are already restricted, and FilterSnapshotRows
-      // composes with that restriction to the same bytes the full-decode
-      // path produces.
-      scan = ScanWindowProjected(query, [&](const Snapshot& snapshot) {
-        FilterSnapshotRows(snapshot, query, cells_, &result.cdr_rows,
-                           &result.nms_rows);
-      });
+    result.summary = RestrictSummaryToBox(
+        index_.SummarizeWindow(query.window_begin, query.window_end), query,
+        cells_);
+  } else {
+    if (scan.has_value()) {
+      // Storage faults hid at least one leaf (every replica unreadable):
+      // drop the partial rows and degrade to the covering summary, exactly
+      // as if those leaves had decayed.
+      result.degraded = true;
+      result.skipped_epochs = std::move(scan->skipped_epochs);
     }
-    if (!scan.ok()) return scan;
-    if (last_scan_.complete()) {
-      result.summary = RestrictSummaryToBox(
-          index_.SummarizeWindow(query.window_begin, query.window_end), query,
-          cells_);
-      result.highlights =
-          result.summary.ExtractHighlights(ThetaFor(IndexLevel::kDay));
-      return result;
-    }
-    // Storage faults hid at least one leaf (every replica unreadable): drop
-    // the partial rows and degrade to the covering summary, exactly as if
-    // those leaves had decayed.
-    result.cdr_rows.clear();
-    result.nms_rows.clear();
-    result.degraded = true;
-    result.skipped_epochs = last_scan_.skipped_epochs;
+    const CoveringNode covering =
+        index_.FindCovering(query.window_begin, query.window_end);
+    result.exact = false;
+    result.served_from = covering.level;
+    result.summary = RestrictSummaryToBox(*covering.summary, query, cells_);
   }
-
-  // Decayed (or fault-degraded) path: serve from the smallest covering
-  // node's highlights.
-  const CoveringNode covering =
-      index_.FindCovering(query.window_begin, query.window_end);
-  result.exact = false;
-  result.served_from = covering.level;
-  result.summary = RestrictSummaryToBox(*covering.summary, query, cells_);
   result.highlights =
-      result.summary.ExtractHighlights(ThetaFor(covering.level));
+      result.summary.ExtractHighlights(HighlightThreshold(result.served_from));
   return result;
 }
 
-Status SpateFramework::ExecuteExactWithLeafIndex(
-    const ExplorationQuery& query, QueryResult* result) {
-  // Resolve the box to cell ids once, then use each leaf's sidecar to jump
-  // straight to the matching rows. The leaf blob and its sidecar must both
-  // be readable; degraded mode skips the epoch (recorded) when either has
-  // lost every replica.
-  const std::vector<std::string> in_box = cells_.CellsInBox(query.box);
-  const std::unordered_set<std::string> wanted(in_box.begin(), in_box.end());
-  // The sidecar's row positions index the full snapshot, so the leaves
-  // materialize unrestricted; projection applies to the result rows only.
-  const TableProjection cdr_projection =
-      ResolveProjection(CdrSchema(), query.attributes);
-  const TableProjection nms_projection =
-      ResolveProjection(NmsSchema(), query.attributes);
-  return ScanLeaves(
-      index_.LeavesInWindow(query.window_begin, query.window_end),
-      LeafScanOptions{},
-      [&](const LeafNode& leaf, const Snapshot& snapshot) -> Status {
-        SPATE_ASSIGN_OR_RETURN(
-            std::string sidecar_blob,
-            dfs_->ReadFile("/spate/spidx/" + FormatCompact(leaf.epoch_start)));
-        std::string serialized;
-        SPATE_RETURN_IF_ERROR(
-            ChunkedDecompress(sidecar_blob, nullptr, &serialized));
-        LeafSpatialIndex sidecar;
-        SPATE_RETURN_IF_ERROR(LeafSpatialIndex::Parse(serialized, &sidecar));
-
-        auto take = [&](const std::vector<Record>& rows,
-                        const std::vector<uint32_t>* positions, int ts_column,
-                        const TableProjection& projection,
-                        std::vector<Record>* out) {
-          if (positions == nullptr || projection.skip) return;
-          for (uint32_t row : *positions) {
-            if (row >= rows.size()) continue;
-            const Timestamp ts =
-                ParseCompact(FieldAsString(rows[row], ts_column));
-            if (ts < query.window_begin || ts >= query.window_end) continue;
-            out->push_back(ProjectRecord(rows[row], projection));
-          }
-        };
-        for (const std::string& cell_id : in_box) {
-          if (!wanted.count(cell_id)) continue;
-          take(snapshot.cdr, sidecar.CdrRows(cell_id), kCdrTs, cdr_projection,
-               &result->cdr_rows);
-          take(snapshot.nms, sidecar.NmsRows(cell_id), kNmsTs, nms_projection,
-               &result->nms_rows);
-        }
-        return Status::OK();
-      });
-}
-
 Status SpateFramework::ScanLeaves(
-    const std::vector<const LeafNode*>& leaves,
-    const LeafScanOptions& opts,
-    const std::function<Status(const LeafNode&, const Snapshot&)>& fn) {
+    const std::vector<const LeafNode*>& leaves, const LeafScanOptions& opts,
+    const std::function<void(const Snapshot&)>& fn) {
   // Spatial leaf skipping: drop leaves whose summary proves them disjoint
   // from the wanted cells before any DFS read or decompression. The filter
   // runs up front on the calling thread, so the surviving scan — batching,
@@ -757,37 +667,34 @@ Status SpateFramework::ScanLeaves(
       (opts.skip_leaves && opts.wanted_cells != nullptr) ? surviving : leaves;
   // Folds one leaf's outcome into the scan, in timestamp order, on the
   // calling thread. A degradable failure — every replica of the leaf (or of
-  // its delta chain, or of its sidecar) unreadable — skips the epoch and
-  // records it instead of failing the whole scan; callers consult
-  // `last_scan_stats()`.
+  // its delta chain) unreadable — skips the epoch and records it instead of
+  // failing the whole scan; callers consult `last_scan_stats()`.
 #ifndef NDEBUG
   // Fold-order hook: the serial fold must visit leaves in strictly
   // increasing epoch order regardless of how the decode fan-out scheduled
   // them — `last_scan_` folding and every caller depend on it.
   Timestamp debug_last_folded = -1;
 #endif
-  auto fold = [&](const LeafNode& leaf, Status status,
-                  const Snapshot& snapshot) -> Result<bool> {
+  auto fold = [&](const LeafNode& leaf, const Status& status,
+                  const Snapshot& snapshot) -> Status {
 #ifndef NDEBUG
     SPATE_DCHECK_GT(leaf.epoch_start, debug_last_folded);
     debug_last_folded = leaf.epoch_start;
 #endif
-    if (status.ok()) status = fn(leaf, snapshot);
     if (!status.ok()) {
       if (options_.degraded_reads && DegradableFailure(status)) {
         last_scan_.skipped_epochs.push_back(leaf.epoch_start);
-        return false;
+        return Status::OK();
       }
       return status;
     }
+    fn(snapshot);
     ++last_scan_.leaves_scanned;
-    return true;
+    return Status::OK();
   };
 
   const bool parallel =
-      pool_ != nullptr &&
-      scan_leaves.size() >= static_cast<size_t>(std::max(
-                                2, options_.parallelism.min_parallel_epochs));
+      pool_ != nullptr && scan_leaves.size() >= kMinParallelLeaves;
   if (!parallel) {
     for (const LeafNode* leaf : scan_leaves) {
       // Cancellation check between leaf decodes: an expired token unwinds
@@ -806,8 +713,7 @@ Status SpateFramework::ScanLeaves(
           materialize_ctx_.fragment_hits - hits_before;
       last_scan_.bytes_decoded_saved +=
           materialize_ctx_.fragment_bytes_saved - saved_before;
-      SPATE_ASSIGN_OR_RETURN(bool ok, fold(*leaf, status, snapshot));
-      (void)ok;
+      SPATE_RETURN_IF_ERROR(fold(*leaf, status, snapshot));
     }
     return Status::OK();
   }
@@ -860,10 +766,8 @@ Status SpateFramework::ScanLeaves(
       last_scan_.bytes_decoded += slots[i].bytes;
       last_scan_.fragment_hits += slots[i].fragment_hits;
       last_scan_.bytes_decoded_saved += slots[i].fragment_saved;
-      SPATE_ASSIGN_OR_RETURN(
-          bool ok,
+      SPATE_RETURN_IF_ERROR(
           fold(*scan_leaves[base + i], slots[i].status, slots[i].snapshot));
-      (void)ok;
     }
   }
   return Status::OK();
@@ -872,12 +776,11 @@ Status SpateFramework::ScanLeaves(
 Status SpateFramework::ScanWindow(
     Timestamp begin, Timestamp end,
     const std::function<void(const Snapshot&)>& fn) {
-  last_scan_ = ScanStats();
-  return ScanLeaves(index_.LeavesInWindow(begin, end), LeafScanOptions{},
-                    [&fn](const LeafNode&, const Snapshot& snapshot) {
-                      fn(snapshot);
-                      return Status::OK();
-                    });
+  // An unrestricted query resolves to the full-decode scan options.
+  ExplorationQuery everything;
+  everything.window_begin = begin;
+  everything.window_end = end;
+  return ScanWindowProjected(everything, fn);
 }
 
 Status SpateFramework::ScanWindowProjected(
@@ -901,11 +804,7 @@ Status SpateFramework::ScanWindowProjected(
     opts.skip_leaves = options_.spatial_leaf_skip;
   }
   return ScanLeaves(
-      index_.LeavesInWindow(query.window_begin, query.window_end), opts,
-      [&fn](const LeafNode&, const Snapshot& snapshot) {
-        fn(snapshot);
-        return Status::OK();
-      });
+      index_.LeavesInWindow(query.window_begin, query.window_end), opts, fn);
 }
 
 Result<NodeSummary> SpateFramework::AggregateWindow(Timestamp begin,

@@ -2,6 +2,7 @@
 #define SPATE_CORE_SPATE_FRAMEWORK_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -27,9 +28,6 @@ struct ParallelismOptions {
   /// whole pipeline on the calling thread — no pool is created and every
   /// code path executes exactly as the pre-parallel framework did.
   int worker_count = 1;
-  /// Minimum in-window leaves before a scan fans out; shorter windows stay
-  /// serial (fan-out overhead beats the win on a couple of leaves).
-  int min_parallel_epochs = 4;
   /// Serialized-text bytes per independent ingest compression job. The
   /// partition of a snapshot into jobs is a pure function of its text and
   /// this knob — never of `worker_count` — so stored leaf bytes and CRCs
@@ -58,13 +56,6 @@ struct SpateOptions {
   DecayPolicy decay;
   /// Run the decaying module after every ingest (stream-time driven).
   bool auto_decay = true;
-  /// Persist day-node summaries to the DFS (the index share S_i of S').
-  bool persist_summaries = true;
-  /// Highlight frequency thresholds theta per resolution level
-  /// (Section V-B: lower thresholds for higher resolution levels).
-  double theta_day = 0.05;
-  double theta_month = 0.02;
-  double theta_year = 0.01;
 
   /// Differential storage (the paper's Section IX-B future work): store
   /// most snapshots as deltas against the previous epoch's text, with a
@@ -88,14 +79,6 @@ struct SpateOptions {
   /// to both leaf layouts; `ScanStats::leaves_skipped_spatial` counts the
   /// wins.
   bool spatial_leaf_skip = true;
-
-  /// Optional per-leaf spatial index (Section V-A's discussed-and-rejected
-  /// design): writes a per-snapshot cell->rows sidecar so bounding-box
-  /// queries skip non-matching rows, at the price of extra storage.
-  /// Superseded by the embedded "@spidx" chunk when `leaf_layout` is
-  /// `kColumnar` (the exact-query sidecar path only engages on row
-  /// stores).
-  bool leaf_spatial_index = false;
 
   /// Degraded reads: when a leaf's every replica is unreadable (datanodes
   /// down, all copies corrupt), treat it like a decayed leaf — `Execute`
@@ -232,13 +215,22 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
 
   const SpateOptions& options() const { return options_; }
 
+  /// The one place an exploration answer is assembled: `Execute` and the
+  /// shared-scan scheduler both finish through it. `scan` holds what a
+  /// scan of the fully resolved window folded — the filtered rows, plus
+  /// the epochs storage faults hid in `skipped_epochs` — and is empty when
+  /// the window is not fully resolved, so no scan ran. A complete scan
+  /// answers exactly, with the window's summary; otherwise the rows are
+  /// dropped and the smallest covering node's highlights answer, marked
+  /// `degraded` when faults (not decay) forced it. Reads only const index
+  /// state.
+  QueryResult BuildAnswer(const ExplorationQuery& query,
+                          std::optional<QueryResult> scan) const;
+
   /// The pipeline's shared worker pool (nullptr when `worker_count == 1`).
   /// Exposed so analytics tasks can reuse it instead of spawning their own;
   /// see DESIGN.md "Concurrency model" for what may run on it concurrently.
   ThreadPool* pool() { return pool_.get(); }
-
-  /// Highlight threshold for a level (theta_i, Section V-B).
-  double ThetaFor(IndexLevel level) const;
 
   /// The decoded-fragment cache (nullptr when `fragment_cache_bytes == 0`).
   /// Mutators (`Ingest`, decay evictions, `Recover`) bump its generation,
@@ -246,13 +238,6 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
   /// decode funnel. Exposed for stats surfacing (`spate_cli scan-stats`,
   /// the serving tier) and the planner probe.
   FragmentCache* fragment_cache() const { return fragment_cache_.get(); }
-
-  /// The current store generation (0 on frameworks without a fragment
-  /// cache): bumped by every mutator that can change what stored leaf
-  /// bytes decode to.
-  uint64_t store_generation() const {
-    return fragment_cache_ != nullptr ? fragment_cache_->generation() : 0;
-  }
 
   /// Deep cross-layer verifier (`spate_cli fsck`): replica integrity and
   /// replication factor on the DFS, container framing and decodability of
@@ -316,32 +301,24 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
   Result<std::string> MaterializeLeafWith(const LeafNode& leaf,
                                           DecodeContext* ctx) const;
 
-  /// Serial-path wrapper over the framework-owned context.
-  Result<std::string> MaterializeLeaf(const LeafNode& leaf);
-
   /// Decodes one leaf into a (possibly projected/restricted) snapshot per
   /// `opts`. Columnar blobs decode exactly the chunks the options call
   /// for; row blobs materialize their full text and restrict in memory.
   Status DecodeLeafWith(const LeafNode& leaf, const LeafScanOptions& opts,
                         DecodeContext* ctx, Snapshot* snapshot) const;
 
-  /// Decodes every leaf in `leaves` per `opts` and hands (leaf, snapshot)
-  /// pairs to `fn` on the calling thread, in timestamp order. Fans the
-  /// decode out on the pool when it exists and the window spans at least
-  /// `min_parallel_epochs` leaves; decode failures and degradable `fn`
-  /// statuses feed `last_scan_` via per-worker counters folded in leaf
-  /// order. `fn` returning a degradable status skips that epoch.
-  Status ScanLeaves(
-      const std::vector<const LeafNode*>& leaves,
-      const LeafScanOptions& opts,
-      const std::function<Status(const LeafNode&, const Snapshot&)>& fn);
+  /// The one scan funnel: decodes every leaf in `leaves` per `opts` and
+  /// hands each snapshot to `fn` on the calling thread, in timestamp order.
+  /// Fans the decode out on the pool when it exists and the window spans
+  /// enough leaves to pay for it; degradable decode failures skip their
+  /// epoch, and everything feeds `last_scan_` via per-worker counters
+  /// folded in leaf order.
+  Status ScanLeaves(const std::vector<const LeafNode*>& leaves,
+                    const LeafScanOptions& opts,
+                    const std::function<void(const Snapshot&)>& fn);
 
   /// True if the snapshot at `epoch_start` starts a keyframe group.
   bool IsKeyframe(Timestamp epoch_start) const;
-
-  /// Exact-path evaluation using the per-leaf spatial sidecars.
-  Status ExecuteExactWithLeafIndex(const ExplorationQuery& query,
-                                   QueryResult* result);
 
   /// Shared construction guts for the public ctor and `Recover`.
   SpateFramework(SpateOptions options,

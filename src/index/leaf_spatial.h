@@ -12,17 +12,17 @@
 
 namespace spate {
 
-/// Optional per-leaf spatial index (Section V-A): maps each cell id to the
-/// row positions it occupies inside one snapshot, so a bounding-box query
-/// can jump straight to the matching rows after decompression instead of
-/// filtering every row.
+/// Per-leaf spatial index (Section V-A): maps each cell id to the row
+/// positions it occupies inside one snapshot, so a bounding-box read can
+/// jump straight to the matching rows instead of filtering every row.
 ///
-/// The paper considers embedding such an index in every leaf and decides
-/// against it ("snapshots are usually not very large, thus an additional
-/// index would only provide modest additional query response time benefits
-/// at the price of additional storage space"); SPATE exposes it behind
-/// `SpateOptions::leaf_spatial_index` and `bench_ablation_leaf_spatial`
-/// reproduces that trade-off.
+/// It backs the "@spidx" chunk of a columnar leaf (core/columnar_leaf.h),
+/// where a box read decodes only the matching rows of each column. Row
+/// leaves carry no such index: the paper decides against a separate
+/// per-leaf index ("snapshots are usually not very large, thus an
+/// additional index would only provide modest additional query response
+/// time benefits at the price of additional storage space"), and
+/// EXPERIMENTS.md records the measured trade-off.
 class LeafSpatialIndex {
  public:
   LeafSpatialIndex() = default;

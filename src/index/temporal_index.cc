@@ -21,6 +21,20 @@ std::string_view IndexLevelName(IndexLevel level) {
   return "?";
 }
 
+double HighlightThreshold(IndexLevel level) {
+  switch (level) {
+    case IndexLevel::kEpoch:
+    case IndexLevel::kDay:
+      return 0.05;
+    case IndexLevel::kMonth:
+      return 0.02;
+    case IndexLevel::kYear:
+    case IndexLevel::kRoot:
+      return 0.01;
+  }
+  return 0.05;
+}
+
 Status TemporalIndex::AddLeaf(LeafNode leaf) {
   // Before any structural mutation: an injected insertion failure leaves
   // the index exactly as it was (callers clean up the stored blob).

@@ -19,6 +19,11 @@ enum class IndexLevel { kEpoch, kDay, kMonth, kYear, kRoot };
 
 std::string_view IndexLevelName(IndexLevel level);
 
+/// Highlight frequency threshold theta_i of a level (Section V-B: lower
+/// thresholds for higher resolution levels): 0.05 for epoch leaves and
+/// days, 0.02 for months, 0.01 for years and the root.
+double HighlightThreshold(IndexLevel level);
+
 /// Exact decode-cost statistics of one leaf, recorded at ingest (or
 /// recomputed during recovery) for the SQL planner's cost model: how many
 /// plaintext bytes each kind of read of this leaf produces. For a row leaf

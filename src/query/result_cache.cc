@@ -107,7 +107,8 @@ std::optional<QueryResult> ResultCache::Lookup(const ExplorationQuery& query,
     pseudo.cdr = narrowed.cdr_rows;
     pseudo.nms = narrowed.nms_rows;
     narrowed.summary.AddSnapshot(pseudo);
-    narrowed.highlights = narrowed.summary.ExtractHighlights(0.05);
+    narrowed.highlights = narrowed.summary.ExtractHighlights(
+        HighlightThreshold(narrowed.served_from));
     if (!query.attributes.empty()) {
       ProjectRows(ResolveProjection(CdrSchema(), query.attributes),
                   &narrowed.cdr_rows);
@@ -124,8 +125,18 @@ void ResultCache::Insert(const ExplorationQuery& query,
                          const QueryResult& result, uint64_t bytes_decoded) {
   if (capacity_ == 0) return;
   MutexLock lock(&mu_);
+  if (query.window_begin < decayed_until_) return;
   entries_.push_front(Entry{query, result, bytes_decoded});
   while (entries_.size() > capacity_) entries_.pop_back();
+}
+
+void ResultCache::SetDecayedUntil(Timestamp decayed_until) {
+  MutexLock lock(&mu_);
+  if (decayed_until <= decayed_until_) return;
+  decayed_until_ = decayed_until;
+  entries_.remove_if([decayed_until](const Entry& entry) {
+    return entry.query.window_begin < decayed_until;
+  });
 }
 
 Result<QueryResult> CachedExplorer::Execute(const ExplorationQuery& query) {

@@ -24,6 +24,11 @@ namespace spate {
 /// result (the cached query itself selected attributes) lacks the predicate
 /// columns, so it is served verbatim for identical queries only.
 ///
+/// An exact entry stays true only while its window keeps every row: the
+/// owner must not insert a window the store may still add epochs to, and
+/// reports each decay horizon through `SetDecayedUntil`, which drops the
+/// entries whose window reaches before it.
+///
 /// Each entry remembers the decompressed bytes its original execution cost
 /// (`ScanStats::bytes_decoded`); every hit credits them to
 /// `CacheStats::bytes_decoded_saved`, so cache wins and projection wins are
@@ -59,9 +64,16 @@ class ResultCache {
   /// Caches `result` for `query` (evicting the least recently used entry).
   /// `bytes_decoded` is what executing the query cost in decompressed bytes
   /// (`ScanStats::bytes_decoded`); hits on this entry credit it to
-  /// `stats().bytes_decoded_saved`.
+  /// `stats().bytes_decoded_saved`. A window starting before the decay
+  /// horizon is refused: its rows were computed before that decay.
   void Insert(const ExplorationQuery& query, const QueryResult& result,
               uint64_t bytes_decoded = 0) EXCLUDES(mu_);
+
+  /// Raw data before `decayed_until` has decayed
+  /// (`TemporalIndex::decayed_until`): drops every entry whose window
+  /// starts before it, and refuses such inserts from now on. The horizon
+  /// only moves forward.
+  void SetDecayedUntil(Timestamp decayed_until) EXCLUDES(mu_);
 
   void Clear() EXCLUDES(mu_) {
     MutexLock lock(&mu_);
@@ -107,6 +119,8 @@ class ResultCache {
   mutable Mutex mu_ ACQUIRED_BEFORE("ThreadPool.mu", "Dfs.mu")
       {"ResultCache.mu"};
   std::list<Entry> entries_ GUARDED_BY(mu_);  // front = most recently used
+  /// The decay horizon last reported through `SetDecayedUntil`.
+  Timestamp decayed_until_ GUARDED_BY(mu_) = INT64_MIN;
   uint64_t hits_ GUARDED_BY(mu_) = 0;
   uint64_t misses_ GUARDED_BY(mu_) = 0;
   uint64_t bytes_decoded_saved_ GUARDED_BY(mu_) = 0;

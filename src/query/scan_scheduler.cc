@@ -179,7 +179,7 @@ void ScanScheduler::HarvestSkipsLocked(const std::shared_ptr<Pass>& pass) {
     const Timestamp s = skips[pass->skip_cursor];
     for (Waiter* w : pass->waiters) {
       if (s < w->first_epoch || s > w->last_epoch) continue;
-      w->skipped.push_back(s);
+      w->result.skipped_epochs.push_back(s);
     }
     if (s > pass->resolved_through) pass->resolved_through = s;
   }
@@ -275,60 +275,6 @@ void ScanScheduler::RunPass(const std::shared_ptr<Pass>& pass) {
   cv_.NotifyAll();
 }
 
-Result<QueryResult> ScanScheduler::CoveringAnswer(
-    const ExplorationQuery& query) const {
-  QueryResult result;
-  const CoveringNode covering =
-      framework_->index().FindCovering(query.window_begin, query.window_end);
-  result.exact = false;
-  result.served_from = covering.level;
-  result.summary =
-      RestrictSummaryToBox(*covering.summary, query, framework_->cells());
-  result.highlights =
-      result.summary.ExtractHighlights(framework_->ThetaFor(covering.level));
-  return result;
-}
-
-Result<QueryResult> ScanScheduler::FinishWaiter(Waiter* w, Status pass_status,
-                                                SharedExecInfo* info) {
-  (void)info;
-  // A waiter whose leaves all resolved before the pass ended (or failed)
-  // succeeds regardless of what happened to the rest of the pass — a
-  // private scan of its window would never have seen that failure.
-  if (!w->rows_done && !pass_status.ok()) return pass_status;
-  const ExplorationQuery& query = w->query;
-  QueryResult result = std::move(w->result);
-  if (w->skipped.empty()) {
-    // Exact answer, same tail as `SpateFramework::Execute`'s complete-scan
-    // path (const index reads, safe under the query lease).
-    result.exact = true;
-    result.served_from = IndexLevel::kEpoch;
-    result.summary = RestrictSummaryToBox(
-        framework_->index().SummarizeWindow(query.window_begin,
-                                            query.window_end),
-        query, framework_->cells());
-    result.highlights =
-        result.summary.ExtractHighlights(framework_->ThetaFor(IndexLevel::kDay));
-    return result;
-  }
-  // Storage faults hid at least one of this waiter's leaves: drop the
-  // partial rows and degrade to the covering summary, exactly like
-  // `SpateFramework::Execute` does.
-  result.cdr_rows.clear();
-  result.nms_rows.clear();
-  result.degraded = true;
-  result.skipped_epochs = std::move(w->skipped);
-  const CoveringNode covering =
-      framework_->index().FindCovering(query.window_begin, query.window_end);
-  result.exact = false;
-  result.served_from = covering.level;
-  result.summary =
-      RestrictSummaryToBox(*covering.summary, query, framework_->cells());
-  result.highlights =
-      result.summary.ExtractHighlights(framework_->ThetaFor(covering.level));
-  return result;
-}
-
 Result<QueryResult> ScanScheduler::Execute(const ExplorationQuery& query,
                                            const CancelToken* cancel,
                                            SharedExecInfo* info) {
@@ -365,7 +311,7 @@ Result<QueryResult> ScanScheduler::Execute(const ExplorationQuery& query,
                                                query.window_end)) {
     ++stats_.summary_answers;
     mu_.Unlock();
-    Result<QueryResult> result = CoveringAnswer(query);
+    QueryResult result = framework_->BuildAnswer(query, std::nullopt);
     mu_.Lock();
     ReleaseQueryLeaseLocked();
     mu_.Unlock();
@@ -373,58 +319,14 @@ Result<QueryResult> ScanScheduler::Execute(const ExplorationQuery& query,
     return result;
   }
 
-  // Row-store sidecar configuration: `Execute` answers through the per-leaf
-  // spatial sidecars, a path the fold machinery cannot replicate — run it
-  // solo on the framework (the scan slot still serializes it against
-  // passes).
-  const SpateOptions& opts = framework_->options();
-  if (opts.leaf_spatial_index && query.has_box &&
-      opts.leaf_layout == LeafLayout::kRow) {
-    while (current_ != nullptr || solo_busy_) {
-      if (cancel != nullptr) {
-        const Status s = cancel->Check();
-        if (!s.ok()) {
-          ReleaseQueryLeaseLocked();
-          mu_.Unlock();
-          cv_.NotifyAll();
-          return s;
-        }
-      }
-      ParkLocked(cancel);
-    }
-    solo_busy_ = true;
-    ++stats_.solo_executes;
-    mu_.Unlock();
-    framework_->SetCancelToken(cancel);
-    Result<QueryResult> result = framework_->Execute(query);
-    framework_->SetCancelToken(nullptr);
-    // The window is fully resolved (checked above, stable under the lease),
-    // so `Execute` ran a scan and `last_scan_stats()` is this query's.
-    const ScanStats& scan = framework_->last_scan_stats();
-    const uint64_t bytes = scan.bytes_decoded;
-    mu_.Lock();
-    stats_.bytes_decoded += bytes;
-    stats_.fragment_hits += scan.fragment_hits;
-    stats_.bytes_decoded_saved += scan.bytes_decoded_saved;
-    solo_busy_ = false;
-    ReleaseQueryLeaseLocked();
-    mu_.Unlock();
-    cv_.NotifyAll();
-    if (info != nullptr) info->pass_bytes_decoded = bytes;
-    return result;
-  }
-
-  // Shared path: attach to the in-flight pass when it subsumes us and has
-  // not passed our first leaf; otherwise queue, and either get clustered
-  // into the next pass by its leader or become that leader ourselves.
-  bool led = false;
-  bool joined = false;
+  // Attach to the in-flight pass when it subsumes us and has not passed our
+  // first leaf; otherwise queue, and either get clustered into the next
+  // pass by its leader or become that leader ourselves.
   if (current_ != nullptr && CanAttachLocked(*current_, w)) {
     w.pass = current_;
     current_->waiters.push_back(&w);
     ++stats_.shared_pass_joins;
     ++stats_.mid_pass_attaches;
-    joined = true;
   } else {
     pending_.push_back(&w);
   }
@@ -433,11 +335,10 @@ Result<QueryResult> ScanScheduler::Execute(const ExplorationQuery& query,
     if (w.pass != nullptr) {
       if (w.rows_done || w.pass->done) break;
     } else {
-      if (current_ == nullptr && !solo_busy_) {
+      if (current_ == nullptr) {
         // The scan slot is free and we are still pending: lead a pass sized
         // to the union of every clusterable pending waiter.
         std::shared_ptr<Pass> pass = BuildPassLocked(&w);
-        led = true;
         mu_.Unlock();
         RunPass(pass);
         mu_.Lock();
@@ -452,7 +353,6 @@ Result<QueryResult> ScanScheduler::Execute(const ExplorationQuery& query,
         current_->waiters.push_back(&w);
         ++stats_.shared_pass_joins;
         ++stats_.mid_pass_attaches;
-        joined = true;
         continue;
       }
     }
@@ -483,25 +383,30 @@ Result<QueryResult> ScanScheduler::Execute(const ExplorationQuery& query,
   // needed the (ongoing) pass.
   if (!pass->done) MaybeAbandonPassLocked(pass);
   mu_.Unlock();
-  Result<QueryResult> result = FinishWaiter(&w, pass_status, info);
+  // Unregistered, so `w` is ours alone again. A waiter whose leaves all
+  // resolved before the pass ended (or failed) succeeds regardless of what
+  // happened to the rest of the pass — a private scan of its window would
+  // never have seen that failure. The framework's own answer builder then
+  // finishes it, under the query lease (const index reads only).
+  Result<QueryResult> result =
+      !w.rows_done && !pass_status.ok()
+          ? Result<QueryResult>(pass_status)
+          : Result<QueryResult>(
+                framework_->BuildAnswer(query, std::move(w.result)));
   mu_.Lock();
   ReleaseQueryLeaseLocked();
   mu_.Unlock();
   cv_.NotifyAll();
-  if (info != nullptr) {
-    info->pass_bytes_decoded = pass_bytes;
-    info->led_pass = led;
-    info->joined_pass = joined;
-  }
+  if (info != nullptr) info->pass_bytes_decoded = pass_bytes;
   return result;
 }
 
 Status ScanScheduler::RunExclusive(const std::function<Status()>& fn) {
   mu_.Lock();
   ++writers_waiting_;
-  // Leases cover every in-flight query (passes, solos and summary answers
-  // alike), so draining them quiesces the framework. `writers_waiting_`
-  // holds off new leases meanwhile — mutators cannot starve.
+  // Leases cover every in-flight query (passes and summary answers alike),
+  // so draining them quiesces the framework. `writers_waiting_` holds off
+  // new leases meanwhile — mutators cannot starve.
   while (exclusive_ || active_queries_ > 0) cv_.Wait(&mu_);
   --writers_waiting_;
   exclusive_ = true;

@@ -31,8 +31,6 @@ struct ScanSchedulerStats {
   uint64_t mid_pass_attaches = 0;
   /// Waiters that gave up on a pass (deadline/cancel) without aborting it.
   uint64_t waiters_detached = 0;
-  /// Queries that bypassed the shared path (row-store sidecar config).
-  uint64_t solo_executes = 0;
   /// Queries answered from covering summaries without any leaf pass
   /// (window not fully resolved: decayed data).
   uint64_t summary_answers = 0;
@@ -41,7 +39,7 @@ struct ScanSchedulerStats {
   /// Leaf snapshots folded into waiter results (one count per
   /// (leaf, waiter) fold).
   uint64_t leaves_folded = 0;
-  /// `ScanStats` roll-up across every shared pass and solo execute.
+  /// `ScanStats` roll-up across every shared pass.
   uint64_t bytes_decoded = 0;
   uint64_t fragment_hits = 0;
   uint64_t bytes_decoded_saved = 0;
@@ -51,14 +49,9 @@ struct ScanSchedulerStats {
 /// uses `pass_bytes_decoded` as the decoded-cost upper bound it prices
 /// `ResultCache` insertions with).
 struct SharedExecInfo {
-  /// Decoded bytes of the pass (or solo execute) that served this query —
-  /// the *whole* pass, shared across its waiters, so an upper bound on this
-  /// query's own cost.
+  /// Decoded bytes of the pass that served this query — the *whole* pass,
+  /// shared across its waiters, so an upper bound on this query's own cost.
   uint64_t pass_bytes_decoded = 0;
-  /// This call started (and led) a shared pass.
-  bool led_pass = false;
-  /// This call attached to a pass another call was leading.
-  bool joined_pass = false;
 };
 
 /// Cooperative shared scans over one `SpateFramework` (MonetDB-style): the
@@ -70,17 +63,18 @@ struct SharedExecInfo {
 /// union (window hull, OR'd table wants, attribute union, box hull) of
 /// every compatible waiter then pending. Each decoded leaf snapshot is
 /// folded into every registered waiter's result via `FilterSnapshotRows`
-/// (each waiter's *own* query does the filtering/projection), which keeps
+/// (each waiter's *own* query does the filtering/projection), and the
+/// answer is finished by the framework's own `BuildAnswer`, which keeps
 /// every answer bit-identical to a private `framework->Execute(query)`.
 ///
 /// The underlying framework is externally synchronized; this class *is*
 /// that synchronization for multi-threaded callers. Internally it keeps a
 /// read/write state machine under one mutex:
-///   - `Execute` calls hold a read lease. At most one *pass or solo
-///     execute* touches the framework at a time (its surface allows only
-///     one scan), but attached waiters block on a condvar, not on the
-///     framework, and summary-only answers (decayed windows) run under the
-///     lease alone off const index state.
+///   - `Execute` calls hold a read lease. At most one *pass* touches the
+///     framework at a time (its surface allows only one scan), but attached
+///     waiters block on a condvar, not on the framework, and summary-only
+///     answers (decayed windows) run under the lease alone off const index
+///     state.
 ///   - `RunExclusive` (ingest/decay/recovery hooks) drains leases with
 ///     writer priority and runs its closure alone.
 ///
@@ -121,10 +115,6 @@ class ScanScheduler {
 
   ScanSchedulerStats stats() const;
 
-  /// The scheduled framework (const surface is safe to share; mutators must
-  /// go through `RunExclusive`).
-  SpateFramework* framework() const { return framework_; }
-
   /// True while a shared pass is streaming leaves (test hook).
   bool pass_in_flight() const;
 
@@ -141,10 +131,10 @@ class ScanScheduler {
     Timestamp first_epoch = 0;
     Timestamp last_epoch = 0;
     const CancelToken* cancel = nullptr;
-    /// Rows folded so far (leaf order, same as a private scan).
+    /// Rows folded so far (leaf order, same as a private scan) and the
+    /// in-window epochs the pass skipped (degraded reads): the `scan` input
+    /// of `SpateFramework::BuildAnswer`.
     QueryResult result;
-    /// In-window epochs the pass skipped (degraded reads).
-    std::vector<Timestamp> skipped;
     /// Every leaf intersecting this waiter's window has been folded.
     bool rows_done = false;
     std::shared_ptr<Pass> pass;
@@ -212,7 +202,7 @@ class ScanScheduler {
                       const Snapshot& snapshot) REQUIRES(mu_);
 
   /// Appends `last_scan_stats().skipped_epochs` entries past the pass's
-  /// cursor to every intersecting waiter's skip list.
+  /// cursor to every intersecting waiter's `result.skipped_epochs`.
   void HarvestSkipsLocked(const std::shared_ptr<Pass>& pass) REQUIRES(mu_);
 
   /// Cancels the pass's token iff no registered waiter still needs it
@@ -222,18 +212,6 @@ class ScanScheduler {
 
   /// Unregisters `w` from the pending list / its pass.
   void RemoveWaiterLocked(Waiter* w) REQUIRES(mu_);
-
-  /// Finishes a waiter whose rows (or pass status) are settled: replicates
-  /// the tail of `SpateFramework::Execute` — complete scan => exact answer
-  /// + window summary; skips => degrade to the covering node. Runs under
-  /// the query lease with `mu_` released (const index reads only).
-  Result<QueryResult> FinishWaiter(Waiter* w, Status pass_status,
-                                   SharedExecInfo* info) EXCLUDES(mu_);
-
-  /// Summary-only answer for a window that is not fully resolved (decayed
-  /// data): no leaf pass can add rows, so serve the covering highlights
-  /// directly (same result as `SpateFramework::Execute`'s covering path).
-  Result<QueryResult> CoveringAnswer(const ExplorationQuery& query) const;
 
   SpateFramework* const framework_;
 
@@ -251,8 +229,6 @@ class ScanScheduler {
   int writers_waiting_ GUARDED_BY(mu_) = 0;
   /// The in-flight shared pass (null when the framework scan slot is free).
   std::shared_ptr<Pass> current_ GUARDED_BY(mu_);
-  /// A solo (sidecar-path) execute owns the framework scan slot.
-  bool solo_busy_ GUARDED_BY(mu_) = false;
   /// Arrived waiters not yet attached to a pass.
   std::vector<Waiter*> pending_ GUARDED_BY(mu_);
   ScanSchedulerStats stats_ GUARDED_BY(mu_);

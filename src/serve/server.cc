@@ -209,7 +209,7 @@ ServeResponse QueryServer::Query(const ServeRequest& request) {
 
   merged.summary = RestrictSummaryToBox(summary, request.query, cells_);
   merged.highlights =
-      merged.summary.ExtractHighlights(options_.shard.theta_day);
+      merged.summary.ExtractHighlights(HighlightThreshold(IndexLevel::kDay));
   std::sort(merged.skipped_epochs.begin(), merged.skipped_epochs.end());
   merged.skipped_epochs.erase(std::unique(merged.skipped_epochs.begin(),
                                           merged.skipped_epochs.end()),

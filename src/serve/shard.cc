@@ -15,7 +15,6 @@ Shard::Shard(size_t index, const SpateOptions& options,
              const std::vector<Record>& cell_rows, const ShardTuning& tuning)
     : index_(index),
       tuning_(tuning),
-      theta_(options.theta_day),
       framework_(std::make_unique<SpateFramework>(options, cell_rows)),
       scheduler_(framework_.get()),
       breaker_(tuning.breaker),
@@ -32,11 +31,19 @@ Status Shard::Ingest(const Snapshot& snapshot) {
   // Exclusive scheduler section: every in-flight query drains (writer
   // priority holds off new ones), then the framework is quiescent for the
   // ingest. Queued-but-unstarted queries simply run afterwards.
-  const Status status = scheduler_.RunExclusive(
-      [&] { return framework_->Ingest(snapshot); });
+  Timestamp ingested_until = INT64_MIN;
+  const Status status = scheduler_.RunExclusive([&] {
+    const Status ingested = framework_->Ingest(snapshot);
+    // Still inside the section, so no query can read a cached answer the
+    // ingest's decay just invalidated, nor insert one computed before it.
+    cache_.SetDecayedUntil(framework_->index().decayed_until());
+    ingested_until = framework_->index().newest_epoch() + kEpochSeconds;
+    return ingested;
+  });
   if (status.ok()) {
     MutexLock lock(&mu_);
     mirror_[snapshot.epoch_start] = std::move(summary);
+    ingested_until_ = ingested_until;
   }
   return status;
 }
@@ -74,6 +81,15 @@ Status Shard::Dispatch(
 void Shard::RunQuery(
     const ExplorationQuery& query, std::shared_ptr<CancelToken> cancel,
     std::function<void(Result<QueryResult>, int retries)> on_done) {
+  // Only an answer whose window ends by the newest ingested epoch may be
+  // cached: later ingests add no rows to it. Read before the query runs —
+  // an ingest racing with it can only leave this bound too low, never let
+  // a window that is still growing in.
+  Timestamp ingested_until;
+  {
+    MutexLock lock(&mu_);
+    ingested_until = ingested_until_;
+  }
   Status failure = Status::Internal("shard retry loop made no attempt");
   int retries = 0;
   for (int attempt = 0; attempt < std::max(1, tuning_.max_attempts);
@@ -112,7 +128,8 @@ void Shard::RunQuery(
     Result<QueryResult> result =
         cached.has_value() ? Result<QueryResult>(*std::move(cached))
                            : scheduler_.Execute(query, cancel.get(), &info);
-    if (!cached.has_value() && result.ok() && result->exact) {
+    if (!cached.has_value() && result.ok() && result->exact &&
+        query.window_end <= ingested_until) {
       cache_.Insert(query, *result, info.pass_bytes_decoded);
     }
     {
@@ -157,7 +174,8 @@ QueryResult Shard::HighlightFallback(const ExplorationQuery& query,
   result.degraded = true;
   result.served_from = IndexLevel::kEpoch;
   result.summary = RestrictSummaryToBox(merged, query, cells);
-  result.highlights = result.summary.ExtractHighlights(theta_);
+  result.highlights =
+      result.summary.ExtractHighlights(HighlightThreshold(result.served_from));
   return result;
 }
 

@@ -89,8 +89,9 @@ class Shard {
   /// Ingests one sub-snapshot (this shard's rows of an epoch) as an
   /// exclusive scheduler section on the calling thread: in-flight queries
   /// drain first (writer priority — new arrivals hold off), then the
-  /// framework ingests quiescently. Also folds the sub-snapshot's summary
-  /// into the highlight mirror.
+  /// framework ingests quiescently and the result cache learns the new
+  /// decay horizon. Also folds the sub-snapshot's summary into the
+  /// highlight mirror.
   Status Ingest(const Snapshot& snapshot) EXCLUDES(mu_);
 
   /// Asynchronously evaluates `query` on the shard worker with retry +
@@ -129,25 +130,31 @@ class Shard {
 
   const size_t index_;
   const ShardTuning tuning_;
-  const double theta_;
   std::unique_ptr<SpateFramework> framework_;
   /// Whole-result cache in front of the scheduler (internally
-  /// synchronized; consulted/fed inline in `RunQuery`).
+  /// synchronized; consulted/fed inline in `RunQuery`). It only ever holds
+  /// exact answers whose rows cannot change: windows ending by the newest
+  /// ingested epoch (`ingested_until_`), and starting at or after the
+  /// decay horizon `Ingest` hands it.
   ResultCache cache_;
   /// Cooperative shared scans over `framework_` — also the framework's
   /// external synchronization (queries take read leases, ingest runs
   /// exclusive).
   ScanScheduler scheduler_;
   /// Rank "Shard.mu" (docs/LOCK_ORDER.md): guards the breaker, counters,
-  /// mirror and jitter Rng only — held for short bookkeeping sections,
-  /// including around `TrySubmit` (the observed Shard.mu -> ThreadPool.mu
-  /// edge), never across framework work.
+  /// mirror, ingest bound and jitter Rng only — held for short bookkeeping
+  /// sections, including around `TrySubmit` (the observed Shard.mu ->
+  /// ThreadPool.mu edge), never across framework work.
   mutable Mutex mu_ ACQUIRED_AFTER("AdmissionQueue.mu")
       ACQUIRED_BEFORE("ThreadPool.mu") {"Shard.mu"};
   CircuitBreaker breaker_ GUARDED_BY(mu_);
   /// Per-epoch highlight mirror: epoch start -> that sub-snapshot's
   /// summary. Built at ingest, read by `HighlightFallback`.
   std::map<Timestamp, NodeSummary> mirror_ GUARDED_BY(mu_);
+  /// End of the newest ingested epoch (`newest_epoch + kEpochSeconds`).
+  /// The index accepts only newer epochs, so the rows of a window ending
+  /// by this bound never change again.
+  Timestamp ingested_until_ GUARDED_BY(mu_) = INT64_MIN;
   Rng jitter_ GUARDED_BY(mu_);
   uint64_t short_circuits_ GUARDED_BY(mu_) = 0;
   uint64_t queue_rejections_ GUARDED_BY(mu_) = 0;

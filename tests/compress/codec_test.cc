@@ -143,8 +143,11 @@ INSTANTIATE_TEST_SUITE_P(AllCodecs, CodecTest,
                            return name;
                          });
 
+// The codec name is a std::string, not a const char*: gtest prints a
+// const char* tuple element as its address, which would put a per-run
+// pointer into the test name.
 class CodecSeedTest
-    : public ::testing::TestWithParam<std::tuple<const char*, uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, uint64_t>> {};
 
 TEST_P(CodecSeedTest, RandomInputsRoundTrip) {
   const Codec* codec = CodecRegistry::Get(std::get<0>(GetParam()));

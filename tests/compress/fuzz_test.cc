@@ -13,8 +13,11 @@ namespace {
 // on adversarial input — they return Corruption (or, if the envelope
 // happens to validate, output whose CRC matched, i.e. correct data).
 
+// The codec name is a std::string, not a const char*: gtest prints a
+// const char* tuple element as its address, which would put a per-run
+// pointer into the test name.
 class GarbageFuzzTest
-    : public ::testing::TestWithParam<std::tuple<const char*, uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, uint64_t>> {};
 
 TEST_P(GarbageFuzzTest, RandomBytesNeverCrashDecoder) {
   const Codec* codec = CodecRegistry::Get(std::get<0>(GetParam()));

@@ -212,6 +212,53 @@ TEST(FrameworkComparisonTest, SpateUsesAboutTenTimesLessSpace) {
   EXPECT_TRUE(raw_summary == spate_summary);
 }
 
+// RAW, the paper's full-scan baseline, is the reference for row-store
+// SPATE's box answers: a corner, the middle, the whole extent and a box
+// outside the extent must select the same rows, in the same order, with
+// the same box-restricted row counts.
+TEST(FrameworkComparisonTest, RowStoreBoxQueriesMatchRaw) {
+  const TraceConfig config = SmallTrace();
+  TraceGenerator gen(config);
+  auto raw = MakeFramework("RAW", gen);
+  auto spate = MakeFramework("SPATE", gen);
+  for (Timestamp epoch : gen.EpochStarts()) {
+    const Snapshot snapshot = gen.GenerateSnapshot(epoch);
+    ASSERT_TRUE(raw->Ingest(snapshot).ok());
+    ASSERT_TRUE(spate->Ingest(snapshot).ok());
+  }
+  const BoundingBox extent = spate->cells().extent();
+  const double w = extent.max_x - extent.min_x;
+  const double h = extent.max_y - extent.min_y;
+  const BoundingBox boxes[] = {
+      {extent.min_x, extent.min_y, extent.min_x + 0.1 * w,
+       extent.min_y + 0.1 * h},
+      {extent.min_x + 0.3 * w, extent.min_y + 0.2 * h,
+       extent.min_x + 0.7 * w, extent.min_y + 0.9 * h},
+      extent,
+      {extent.max_x + 10, extent.max_y + 10, extent.max_x + 20,
+       extent.max_y + 20},  // empty
+  };
+  size_t rows = 0;
+  for (const BoundingBox& box : boxes) {
+    ExplorationQuery query;
+    query.window_begin = config.start + 9 * 3600;
+    query.window_end = config.start + 15 * 3600;
+    query.has_box = true;
+    query.box = box;
+    auto expected = raw->Execute(query);
+    auto actual = spate->Execute(query);
+    ASSERT_TRUE(expected.ok());
+    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+    EXPECT_TRUE(actual->exact);
+    EXPECT_EQ(actual->cdr_rows, expected->cdr_rows);
+    EXPECT_EQ(actual->nms_rows, expected->nms_rows);
+    EXPECT_EQ(actual->summary.cdr_rows(), expected->summary.cdr_rows());
+    EXPECT_EQ(actual->summary.nms_rows(), expected->summary.nms_rows());
+    rows += actual->cdr_rows.size();
+  }
+  EXPECT_GT(rows, 0u);
+}
+
 TEST(SpateFrameworkTest, DecayEvictsRawDataButKeepsAggregates) {
   TraceConfig config = SmallTrace();
   config.days = 3;

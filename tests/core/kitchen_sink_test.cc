@@ -8,12 +8,11 @@
 namespace spate {
 namespace {
 
-/// Every optional SPATE feature enabled at once — differential storage,
-/// per-leaf spatial sidecars, aggressive two-stage decay — must still
-/// behave exactly like the plain framework on the data that remains at
-/// full resolution, and must survive a crash/recover cycle. This guards
-/// against cross-feature interactions (e.g. decay breaking a delta chain,
-/// recovery losing sidecar bindings).
+/// Every optional SPATE feature enabled at once — differential storage and
+/// aggressive two-stage decay — must still behave exactly like the plain
+/// framework on the data that remains at full resolution, and must survive
+/// a crash/recover cycle. This guards against cross-feature interactions
+/// (e.g. decay breaking a delta chain).
 class KitchenSinkTest : public ::testing::Test {
  protected:
   static TraceConfig Config() {
@@ -31,7 +30,6 @@ class KitchenSinkTest : public ::testing::Test {
     SpateOptions options;
     options.differential = true;
     options.keyframe_interval = 8;
-    options.leaf_spatial_index = true;
     options.decay.full_resolution_seconds = 2 * 86400;
     options.decay.day_resolution_seconds = 3 * 86400;
     return options;

@@ -246,30 +246,6 @@ TEST(ParallelPipelineTest, RecoverReadsChunkedStoreAndMatchesQueries) {
   EXPECT_TRUE(before->summary == after->summary);
 }
 
-TEST(ParallelPipelineTest, LeafSpatialExactPathMatchesSerial) {
-  TraceConfig config = PipelineTrace();
-  TraceGenerator gen(config);
-  SpateOptions serial_options = PipelineOptions(1);
-  serial_options.leaf_spatial_index = true;
-  SpateOptions parallel_options = PipelineOptions(4);
-  parallel_options.leaf_spatial_index = true;
-  auto serial = IngestTrace(gen, serial_options);
-  auto parallel = IngestTrace(gen, parallel_options);
-
-  ExplorationQuery query;
-  query.window_begin = config.start;
-  query.window_end = config.start + 86400;
-  query.has_box = true;
-  query.box = BoundingBox{0, 0, config.region_meters / 2,
-                          config.region_meters / 2};
-  auto serial_result = serial->Execute(query);
-  auto parallel_result = parallel->Execute(query);
-  ASSERT_TRUE(serial_result.ok());
-  ASSERT_TRUE(parallel_result.ok());
-  EXPECT_EQ(serial_result->cdr_rows, parallel_result->cdr_rows);
-  EXPECT_EQ(serial_result->nms_rows, parallel_result->nms_rows);
-}
-
 // Stress for the sanitizers (TSan in CI): scans fan out over the pool
 // while the serial fold mutates stats, repeatedly, interleaved with
 // repairs and further ingest on the calling thread.

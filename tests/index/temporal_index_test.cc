@@ -109,6 +109,14 @@ TEST(TemporalIndexTest, FindCoveringChoosesSmallestLevel) {
   EXPECT_EQ(c.summary, &index.root_summary());
 }
 
+TEST(TemporalIndexTest, HighlightThresholdsFallAtCoarserLevels) {
+  EXPECT_DOUBLE_EQ(HighlightThreshold(IndexLevel::kEpoch), 0.05);
+  EXPECT_DOUBLE_EQ(HighlightThreshold(IndexLevel::kDay), 0.05);
+  EXPECT_DOUBLE_EQ(HighlightThreshold(IndexLevel::kMonth), 0.02);
+  EXPECT_DOUBLE_EQ(HighlightThreshold(IndexLevel::kYear), 0.01);
+  EXPECT_DOUBLE_EQ(HighlightThreshold(IndexLevel::kRoot), 0.01);
+}
+
 TEST(TemporalIndexTest, LeavesInWindowBoundaries) {
   TemporalIndex index;
   for (int i = 0; i < 10; ++i) {

@@ -436,7 +436,7 @@ TEST(SharedScanTest, FaultInjectionIdentity) {
 }
 
 // ---------------------------------------------------------------------------
-// Deadlines, mutators, decay, the sidecar solo path, the failpoint.
+// Deadlines, mutators, decay, the failpoint.
 
 TEST(SharedScanTest, ExpiredTokenFailsBeforeTouchingStorage) {
   TraceGenerator gen(SharedTrace());
@@ -575,30 +575,6 @@ TEST(SharedScanTest, DecayedWindowsAnswerFromSummaries) {
   const ScanSchedulerStats stats = scheduler.stats();
   EXPECT_GE(stats.summary_answers, 1u);
   // No leaf pass ran for the decayed window.
-  EXPECT_EQ(stats.passes_started, 0u);
-}
-
-TEST(SharedScanTest, SidecarConfigTakesTheSoloPath) {
-  TraceGenerator gen(SharedTrace());
-  SpateOptions options = StoreOptions(LeafLayout::kRow, 0);
-  options.leaf_spatial_index = true;
-  auto framework = IngestTrace(gen, options, 12);
-  ScanScheduler scheduler(framework.get());
-  const BoundingBox extent = framework->cells().extent();
-  ExplorationQuery query;
-  query.window_begin = gen.config().start;
-  query.window_end = gen.config().start + 12 * kEpochSeconds;
-  query.has_box = true;
-  query.box = {extent.min_x, extent.min_y,
-               extent.min_x + 0.4 * (extent.max_x - extent.min_x),
-               extent.min_y + 0.4 * (extent.max_y - extent.min_y)};
-  auto expected = framework->Execute(query);
-  auto actual = scheduler.Execute(query);
-  ASSERT_TRUE(expected.ok());
-  ASSERT_TRUE(actual.ok());
-  ExpectSameResult(*expected, *actual, "sidecar solo");
-  const ScanSchedulerStats stats = scheduler.stats();
-  EXPECT_EQ(stats.solo_executes, 1u);
   EXPECT_EQ(stats.passes_started, 0u);
 }
 

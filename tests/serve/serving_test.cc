@@ -329,6 +329,73 @@ TEST(QueryServerTest, RepeatQueryHitsShardResultCaches) {
   EXPECT_GT(hits, 0u);
 }
 
+// The shard result caches must never serve an answer the store has moved
+// past: an ingest that adds rows to a window reaching past the newest
+// epoch, and a decay that evicts a cached window's leaves, both have to
+// show through. An unsharded framework fed the same epochs is the
+// reference.
+TEST(QueryServerTest, ResultCacheFollowsIngestAndDecay) {
+  TraceConfig config = ServeTrace();
+  config.days = 2;
+  const TraceGenerator gen(config);
+  const std::vector<Timestamp> epochs = gen.EpochStarts();
+  auto ingest = [&](QueryServer* server, SpateFramework* reference,
+                    size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      const Snapshot snapshot = gen.GenerateSnapshot(epochs[i]);
+      ASSERT_TRUE(server->Ingest(snapshot).ok());
+      ASSERT_TRUE(reference->Ingest(snapshot).ok());
+    }
+  };
+
+  {
+    // Ingest: [e8, e12) after 10 epochs, then one more epoch lands in it.
+    QueryServer server(SmallServer(2), gen.cells());
+    SpateFramework reference(SpateOptions{}, gen.cells());
+    ingest(&server, &reference, 0, 10);
+    ServeRequest request;
+    request.query = WindowQuery(epochs[8], epochs[12]);
+    ASSERT_EQ(server.Query(request).outcome, ServeOutcome::kOk);
+    ingest(&server, &reference, 10, 11);
+    const ServeResponse response = server.Query(request);
+    auto expected = reference.Execute(request.query);
+    ASSERT_TRUE(expected.ok());
+    ASSERT_EQ(response.outcome, ServeOutcome::kOk);
+    EXPECT_TRUE(response.result.exact);
+    EXPECT_EQ(Sorted(response.result.cdr_rows), Sorted(expected->cdr_rows));
+    EXPECT_EQ(Sorted(response.result.nms_rows), Sorted(expected->nms_rows));
+  }
+  {
+    // Decay: with a one-day horizon, [e2, e4) is exact and cached after 50
+    // epochs, and decays during the next 10.
+    ServeOptions options = SmallServer(2);
+    options.shard.decay.full_resolution_seconds = 86400;
+    QueryServer server(options, gen.cells());
+    SpateFramework reference(options.shard, gen.cells());
+    ingest(&server, &reference, 0, 50);
+    ServeRequest request;
+    request.query = WindowQuery(epochs[2], epochs[4]);
+    const ServeResponse first = server.Query(request);
+    ASSERT_EQ(first.outcome, ServeOutcome::kOk);
+    EXPECT_TRUE(first.result.exact);
+    ASSERT_EQ(server.Query(request).outcome, ServeOutcome::kOk);
+    uint64_t hits = 0;
+    for (const ShardStats& shard : server.Stats().shards) {
+      hits += shard.cache.hits;
+    }
+    EXPECT_GT(hits, 0u);  // the window was cached before it decayed
+    ingest(&server, &reference, 50, 60);
+    const ServeResponse response = server.Query(request);
+    auto expected = reference.Execute(request.query);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_FALSE(expected->exact);
+    ASSERT_EQ(response.outcome, ServeOutcome::kOk);
+    EXPECT_FALSE(response.result.exact);
+    EXPECT_TRUE(response.result.cdr_rows.empty());
+    EXPECT_TRUE(response.result.nms_rows.empty());
+  }
+}
+
 // The combined fault + overload test (runs under the TSan + lockdep CI
 // labels): a seeded chaos schedule kills/revives datanodes and corrupts
 // replicas while concurrent multi-tenant clients hammer the server with
