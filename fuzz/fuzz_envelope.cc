@@ -1,17 +1,14 @@
 // Fuzz target: the codec envelope decode surface. Arbitrary bytes are fed
 // through every registered codec's `Decompress` (both as-delivered and with
 // the codec-id byte rewritten, so payload parsing is reached even when the
-// mutator breaks the id) plus the deflate dictionary path that differential
-// delta chains decode through. The contract under test: hostile bytes may
+// mutator breaks the id). The contract under test: hostile bytes may
 // only ever produce a non-OK Status — never a crash, sanitizer fault, OOM
 // allocation, or a success whose output disagrees with the envelope header.
 //
 // FUZZ-COVERS: codec.h:Decompress
-// FUZZ-COVERS: codec.h:DecompressWithDictionary
 // FUZZ-COVERS: codec.h:GetEnvelope
 // FUZZ-COVERS: codec.h:VerifyDecoded
 // FUZZ-COVERS: deflate_codec.h:Decompress
-// FUZZ-COVERS: deflate_codec.h:DecompressWithDictionary
 // FUZZ-COVERS: fast_lz_codec.h:Decompress
 // FUZZ-COVERS: lzma_lite_codec.h:Decompress
 // FUZZ-COVERS: null_codec.h:Decompress
@@ -65,24 +62,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       const spate::Codec* codec = spate::CodecRegistry::Get(name);
       rewritten[0] = static_cast<char>(codec->Id());
       DecodeAndCheck(*codec, rewritten);
-    }
-  }
-
-  // Dictionary path (differential delta chains): first half of the input is
-  // the dictionary, second half the blob.
-  if (size >= 2) {
-    const size_t split = size / 2;
-    const spate::Slice dictionary(reinterpret_cast<const char*>(data), split);
-    std::string delta(reinterpret_cast<const char*>(data) + split,
-                      size - split);
-    for (std::string_view name : spate::CodecRegistry::Names()) {
-      const spate::Codec* codec = spate::CodecRegistry::Get(name);
-      if (!codec->SupportsDictionary()) continue;
-      delta[0] = static_cast<char>(codec->Id());
-      std::string output;
-      // Status-only contract; success needs no cross-check here because the
-      // envelope CRC covers the dictionary-decoded bytes too.
-      (void)codec->DecompressWithDictionary(dictionary, delta, &output);
     }
   }
   return 0;

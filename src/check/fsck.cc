@@ -183,20 +183,12 @@ check::FsckReport SpateFramework::Fsck() const {
 
   // --- Compression + highlight layers: walk every leaf in time order,
   // verify blob framing and decodability, recompute live-leaf summaries
-  // from the decoded bytes, and check decay monotonicity. The walk keeps
-  // the previous epoch's text so delta leaves decode against their chain
-  // exactly as a scan would. ---
+  // from the decoded bytes, and check decay monotonicity. ---
   const Timestamp decayed_until = index_.decayed_until();
-  std::string prev_text;
-  Timestamp prev_epoch = -1;
   for (const YearNode& year : index_.years()) {
     for (const MonthNode& month : year.months) {
       for (const DayNode& day : month.days) {
-        if (day.sealed) {
-          prev_epoch = -1;
-          prev_text.clear();
-          continue;
-        }
+        if (day.sealed) continue;
         for (const LeafNode& leaf : day.leaves) {
           ++report.leaves_checked;
           const std::string object =
@@ -206,20 +198,14 @@ check::FsckReport SpateFramework::Fsck() const {
                        "live leaf behind the decay horizon " +
                            FormatCompact(decayed_until));
           }
-          if (leaf.decayed) {
-            // Raw data gone by design; only the (retained) summary serves
-            // this epoch. A decayed leaf breaks any delta chain through it.
-            prev_epoch = -1;
-            prev_text.clear();
-            continue;
-          }
+          // Raw data gone by design; only the (retained) summary serves
+          // this epoch.
+          if (leaf.decayed) continue;
 
           auto blob = dfs_->InspectFile(leaf.dfs_path);
           if (!blob.ok()) {
             report.Add(check::kEnvelopeDecode, object,
                        "unreadable blob: " + blob.status().ToString());
-            prev_epoch = -1;
-            prev_text.clear();
             continue;
           }
           ++report.files_checked;
@@ -229,7 +215,7 @@ check::FsckReport SpateFramework::Fsck() const {
                            " stored bytes, DFS holds " +
                            std::to_string(blob->size()));
           }
-          const bool columnar = !leaf.delta && IsColumnarBlob(*blob);
+          const bool columnar = IsColumnarBlob(*blob);
           if (IsChunkedBlob(*blob) || columnar) ++report.containers_checked;
           Status framing = columnar ? VerifyColumnarFraming(*blob)
                                     : VerifyChunkedFraming(*blob);
@@ -238,76 +224,51 @@ check::FsckReport SpateFramework::Fsck() const {
                        framing.ToString());
           }
 
+          // Columnar leaves reassemble the full snapshot from their chunks;
+          // row leaves decompress their text.
+          const TableProjection all;
           std::string text;
-          Status decode;
           Snapshot snapshot;
-          bool have_snapshot = false;
-          if (leaf.delta) {
-            if (prev_epoch != leaf.epoch_start - kEpochSeconds) {
-              decode = Status::Corruption(
-                  "delta chain broken: predecessor epoch missing");
-            } else {
-              const Codec* codec = CodecRegistry::GetById(
-                  static_cast<uint8_t>((*blob)[0]));
-              decode = codec == nullptr
-                           ? Status::Corruption("unknown delta codec id")
-                           : codec->DecompressWithDictionary(prev_text,
-                                                             *blob, &text);
-            }
-          } else if (columnar) {
-            // Columnar leaf: reassemble the full snapshot from its chunks,
-            // then cross-check the projected-read path against the
-            // reference restriction — a chunk that decodes but lies (or a
-            // reader bug) surfaces here, not just hard decode failures.
-            const TableProjection all;
-            decode = DecodeColumnarLeaf(*blob, all, all,
-                                        /*wanted_cells=*/nullptr, &snapshot,
-                                        /*bytes_decoded=*/nullptr);
-            if (decode.ok()) {
-              have_snapshot = true;
-              text = SerializeSnapshot(snapshot);
-              Status projection_check =
-                  CheckColumnarProjection(*blob, snapshot);
-              if (!projection_check.ok()) {
-                report.Add(check::kColumnarChunk, object,
-                           projection_check.ToString());
-              }
-            }
-          } else {
-            decode = ChunkedDecompress(*blob, nullptr, &text);
-          }
+          const Status decode =
+              columnar ? DecodeColumnarLeaf(*blob, all, all,
+                                            /*wanted_cells=*/nullptr,
+                                            &snapshot,
+                                            /*bytes_decoded=*/nullptr)
+                       : ChunkedDecompress(*blob, nullptr, &text);
           if (!decode.ok()) {
             report.Add(columnar ? check::kColumnarChunk
                                 : check::kEnvelopeDecode,
                        object, decode.ToString());
-            prev_epoch = -1;
-            prev_text.clear();
             continue;
           }
-
-          Status parse =
-              have_snapshot ? Status::OK() : ParseSnapshot(text, &snapshot);
-          if (!parse.ok()) {
+          if (columnar) {
+            // Cross-check the projected-read path against the reference
+            // restriction — a chunk that decodes but lies (or a reader bug)
+            // surfaces here, not just hard decode failures.
+            Status projection_check = CheckColumnarProjection(*blob, snapshot);
+            if (!projection_check.ok()) {
+              report.Add(check::kColumnarChunk, object,
+                         projection_check.ToString());
+            }
+          } else if (Status parse = ParseSnapshot(text, &snapshot);
+                     !parse.ok()) {
             report.Add(check::kEnvelopeDecode, object,
                        "decoded text does not parse: " + parse.ToString());
-          } else {
-            if (snapshot.epoch_start != leaf.epoch_start) {
-              report.Add(check::kEnvelopeDecode, object,
-                         "decoded snapshot is for epoch " +
-                             FormatCompact(snapshot.epoch_start));
-            }
-            // Live leaves must summarize to exactly what the index holds
-            // (bit-exact: AddSnapshot is deterministic over the decoded
-            // rows).
-            NodeSummary recomputed;
-            recomputed.AddSnapshot(snapshot);
-            if (!(recomputed == leaf.summary)) {
-              report.Add(check::kHighlightConsistency, object,
-                         "leaf summary does not match its decoded rows");
-            }
+            continue;
           }
-          prev_text = std::move(text);
-          prev_epoch = leaf.epoch_start;
+          if (snapshot.epoch_start != leaf.epoch_start) {
+            report.Add(check::kEnvelopeDecode, object,
+                       "decoded snapshot is for epoch " +
+                           FormatCompact(snapshot.epoch_start));
+          }
+          // Live leaves must summarize to exactly what the index holds
+          // (bit-exact: AddSnapshot is deterministic over the decoded rows).
+          NodeSummary recomputed;
+          recomputed.AddSnapshot(snapshot);
+          if (!(recomputed == leaf.summary)) {
+            report.Add(check::kHighlightConsistency, object,
+                       "leaf summary does not match its decoded rows");
+          }
         }
       }
     }

@@ -11,24 +11,6 @@
 
 namespace spate {
 
-Status Codec::CompressWithDictionary(Slice dictionary, Slice input,
-                                     std::string* output) const {
-  (void)dictionary;
-  (void)input;
-  (void)output;
-  return Status::NotSupported(std::string(Name()) +
-                              " has no dictionary support");
-}
-
-Status Codec::DecompressWithDictionary(Slice dictionary, Slice input,
-                                       std::string* output) const {
-  (void)dictionary;
-  (void)input;
-  (void)output;
-  return Status::NotSupported(std::string(Name()) +
-                              " has no dictionary support");
-}
-
 namespace compress_internal {
 
 void PutEnvelope(uint8_t codec_id, Slice original, std::string* output) {

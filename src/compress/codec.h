@@ -51,20 +51,6 @@ class Codec {
   /// original bytes to `*output`. Returns Corruption on any integrity
   /// failure (bad magic, size mismatch, CRC mismatch, malformed payload).
   virtual Status Decompress(Slice input, std::string* output) const = 0;
-
-  /// Differential compression (the paper's Section IX-B future work): like
-  /// `Compress`, but the encoder may back-reference into `dictionary`
-  /// (typically the previous snapshot). Decompression requires the same
-  /// dictionary. Default: NotSupported.
-  virtual Status CompressWithDictionary(Slice dictionary, Slice input,
-                                        std::string* output) const;
-
-  /// Inverse of `CompressWithDictionary`.
-  virtual Status DecompressWithDictionary(Slice dictionary, Slice input,
-                                          std::string* output) const;
-
-  /// True if this codec implements the dictionary API.
-  virtual bool SupportsDictionary() const { return false; }
 };
 
 /// Registry of built-in codecs.

@@ -34,26 +34,23 @@ struct Block {
   size_t num_tokens = 0;
 };
 
-/// `buffer` is dictionary + payload; `in_pos` indexes into it.
-/// `ext_dist` selects the extended distance alphabet (dictionary mode).
+/// `in_pos` indexes into `input`.
 void EncodeBlock(const std::vector<LzToken>& tokens, const Block& block,
-                 Slice buffer, size_t* in_pos, bool final_block,
-                 bool ext_dist, BitWriter* writer) {
+                 Slice input, size_t* in_pos, bool final_block,
+                 BitWriter* writer) {
   // Histogram the block.
   std::vector<uint64_t> lit_freq(kLitLenSymbols, 0);
-  std::vector<uint64_t> dist_freq(ext_dist ? kNumExtDistSlots : kNumDistSlots,
-                                  0);
+  std::vector<uint64_t> dist_freq(kNumDistSlots, 0);
   size_t scan_pos = *in_pos;
   for (size_t i = 0; i < block.num_tokens; ++i) {
     const LzToken& t = tokens[block.first_token + i];
     for (uint32_t j = 0; j < t.literal_len; ++j) {
-      ++lit_freq[static_cast<unsigned char>(buffer[scan_pos + j])];
+      ++lit_freq[static_cast<unsigned char>(input[scan_pos + j])];
     }
     scan_pos += t.literal_len + t.match_len;
     if (t.match_len > 0) {
       ++lit_freq[257 + LengthSlot(t.match_len)];
-      ++dist_freq[ext_dist ? ExtDistSlot(t.distance)
-                           : static_cast<uint32_t>(DistSlot(t.distance))];
+      ++dist_freq[DistSlot(t.distance)];
     }
   }
   ++lit_freq[kEob];
@@ -71,7 +68,7 @@ void EncodeBlock(const std::vector<LzToken>& tokens, const Block& block,
   for (size_t i = 0; i < block.num_tokens; ++i) {
     const LzToken& t = tokens[block.first_token + i];
     for (uint32_t j = 0; j < t.literal_len; ++j) {
-      lit_enc.Encode(writer, static_cast<unsigned char>(buffer[*in_pos + j]));
+      lit_enc.Encode(writer, static_cast<unsigned char>(input[*in_pos + j]));
     }
     *in_pos += t.literal_len + t.match_len;
     if (t.match_len > 0) {
@@ -79,56 +76,22 @@ void EncodeBlock(const std::vector<LzToken>& tokens, const Block& block,
       lit_enc.Encode(writer, 257 + lslot);
       writer->WriteBits(t.match_len - kLengthBase[lslot],
                         kLengthExtraBits[lslot]);
-      if (ext_dist) {
-        const uint32_t dslot = ExtDistSlot(t.distance);
-        dist_enc.Encode(writer, dslot);
-        writer->WriteBits(t.distance - ExtDistBase(dslot),
-                          ExtDistDirectBits(dslot));
-      } else {
-        const int dslot = DistSlot(t.distance);
-        dist_enc.Encode(writer, dslot);
-        writer->WriteBits(t.distance - kDistBase[dslot],
-                          kDistExtraBits[dslot]);
-      }
+      const int dslot = DistSlot(t.distance);
+      dist_enc.Encode(writer, dslot);
+      writer->WriteBits(t.distance - kDistBase[dslot], kDistExtraBits[dslot]);
     }
   }
   lit_enc.Encode(writer, kEob);
 }
 
-/// Shared compressor; `dictionary` may be empty.
-Status CompressImpl(uint8_t codec_id, Slice dictionary, Slice input,
-                    std::string* output) {
-  PutEnvelope(codec_id, input, output);
+}  // namespace
+
+Status DeflateCodec::Compress(Slice input, std::string* output) const {
+  PutEnvelope(Id(), input, output);
   if (input.empty()) return Status::OK();
 
-  // Concatenate only when there is a dictionary (the common path stays
-  // copy-free).
-  std::string owned;
-  Slice buffer = input;
-  size_t dict_size = 0;
-  if (!dictionary.empty()) {
-    owned.reserve(dictionary.size() + input.size());
-    owned.append(dictionary.data(), dictionary.size());
-    owned.append(input.data(), input.size());
-    buffer = owned;
-    dict_size = dictionary.size();
-  }
-
-  // Dictionary mode widens the window to the whole buffer (matches must be
-  // able to reach the corresponding rows of the previous snapshot) and uses
-  // the extended distance alphabet.
-  Lz77Options lz_options = DeflateOptions();
-  const bool ext_dist = dict_size > 0;
-  if (ext_dist) {
-    lz_options.window_size = static_cast<uint32_t>(
-        std::min<size_t>(buffer.size(), 0xffffffffu));
-    // Far-away dictionary matches hide behind many closer hash-chain
-    // candidates; search deeper (delta ingest tolerates the extra CPU).
-    lz_options.max_chain = 256;
-  }
-  Lz77Matcher matcher(lz_options);
-  const std::vector<LzToken> tokens =
-      matcher.ParseWithDictionary(buffer, dict_size);
+  Lz77Matcher matcher(DeflateOptions());
+  const std::vector<LzToken> tokens = matcher.Parse(input);
 
   // Chunk tokens into blocks of ~kBlockInputBytes payload coverage.
   std::vector<Block> blocks;
@@ -149,24 +112,21 @@ Status CompressImpl(uint8_t codec_id, Slice dictionary, Slice input,
   if (blocks.empty()) blocks.push_back(Block{0, 0});
 
   BitWriter writer(output);
-  size_t in_pos = dict_size;
+  size_t in_pos = 0;
   for (size_t b = 0; b < blocks.size(); ++b) {
-    EncodeBlock(tokens, blocks[b], buffer, &in_pos, b + 1 == blocks.size(),
-                ext_dist, &writer);
+    EncodeBlock(tokens, blocks[b], input, &in_pos, b + 1 == blocks.size(),
+                &writer);
   }
   writer.Finish();
   return Status::OK();
 }
 
-Status DecompressImpl(uint8_t codec_id, Slice dictionary, Slice input,
-                      std::string* output) {
-  const bool ext_dist = !dictionary.empty();
-  const int num_dist_slots = ext_dist ? kNumExtDistSlots : kNumDistSlots;
+Status DeflateCodec::Decompress(Slice input, std::string* output) const {
   Slice payload;
   uint64_t original_size = 0;
   uint32_t crc = 0;
   SPATE_RETURN_IF_ERROR(
-      GetEnvelope(codec_id, input, &payload, &original_size, &crc));
+      GetEnvelope(Id(), input, &payload, &original_size, &crc));
   const size_t offset = output->size();
   // original_size is untrusted until the CRC verifies: cap the upfront
   // allocation (the decode loops still enforce the exact size).
@@ -185,7 +145,7 @@ Status DecompressImpl(uint8_t codec_id, Slice dictionary, Slice input,
     SPATE_RETURN_IF_ERROR(
         ReadCodeLengths(&reader, kLitLenSymbols, &lit_lengths));
     SPATE_RETURN_IF_ERROR(
-        ReadCodeLengths(&reader, num_dist_slots, &dist_lengths));
+        ReadCodeLengths(&reader, kNumDistSlots, &dist_lengths));
     HuffmanDecoder lit_dec;
     SPATE_RETURN_IF_ERROR(lit_dec.Init(lit_lengths));
     HuffmanDecoder dist_dec;
@@ -215,44 +175,22 @@ Status DecompressImpl(uint8_t codec_id, Slice dictionary, Slice input,
         return Status::Corruption("deflate: match without distance table");
       }
       const int32_t dslot = dist_dec.Decode(&reader);
-      if (dslot < 0 || dslot >= num_dist_slots) {
+      if (dslot < 0 || dslot >= kNumDistSlots) {
         return Status::Corruption("deflate: bad distance slot");
       }
-      uint32_t distance;
-      if (ext_dist) {
-        distance = ExtDistBase(dslot) +
-                   static_cast<uint32_t>(
-                       reader.ReadBits(ExtDistDirectBits(dslot)));
-      } else {
-        distance =
-            kDistBase[dslot] +
-            static_cast<uint32_t>(reader.ReadBits(kDistExtraBits[dslot]));
-      }
+      const uint32_t distance =
+          kDistBase[dslot] +
+          static_cast<uint32_t>(reader.ReadBits(kDistExtraBits[dslot]));
       const size_t produced = output->size() - offset;
-      if (distance > produced + dictionary.size()) {
+      if (distance > produced) {
         return Status::Corruption("deflate: distance before stream start");
       }
       if (produced + length > original_size) {
         return Status::Corruption("deflate: output overruns recorded size");
       }
-      if (distance <= produced) {
-        // Fast path: entirely within already-produced output.
-        size_t from = output->size() - distance;
-        for (uint32_t i = 0; i < length; ++i) {
-          output->push_back((*output)[from + i]);
-        }
-      } else {
-        // Reaches into the dictionary; may cross into produced output.
-        for (uint32_t i = 0; i < length; ++i) {
-          const size_t now = output->size() - offset;
-          char byte;
-          if (distance > now) {
-            byte = dictionary[dictionary.size() - (distance - now)];
-          } else {
-            byte = (*output)[output->size() - distance];
-          }
-          output->push_back(byte);
-        }
+      const size_t from = output->size() - distance;
+      for (uint32_t i = 0; i < length; ++i) {
+        output->push_back((*output)[from + i]);
       }
     }
     if (output->size() - offset > original_size) {
@@ -263,26 +201,6 @@ Status DecompressImpl(uint8_t codec_id, Slice dictionary, Slice input,
     return Status::Corruption("deflate: truncated payload");
   }
   return VerifyDecoded(*output, offset, original_size, crc);
-}
-
-}  // namespace
-
-Status DeflateCodec::Compress(Slice input, std::string* output) const {
-  return CompressImpl(Id(), Slice(), input, output);
-}
-
-Status DeflateCodec::Decompress(Slice input, std::string* output) const {
-  return DecompressImpl(Id(), Slice(), input, output);
-}
-
-Status DeflateCodec::CompressWithDictionary(Slice dictionary, Slice input,
-                                            std::string* output) const {
-  return CompressImpl(Id(), dictionary, input, output);
-}
-
-Status DeflateCodec::DecompressWithDictionary(Slice dictionary, Slice input,
-                                              std::string* output) const {
-  return DecompressImpl(Id(), dictionary, input, output);
 }
 
 }  // namespace spate

@@ -18,11 +18,6 @@ class DeflateCodec : public Codec {
   uint8_t Id() const override { return 1; }
   Status Compress(Slice input, std::string* output) const override;
   Status Decompress(Slice input, std::string* output) const override;
-  Status CompressWithDictionary(Slice dictionary, Slice input,
-                                std::string* output) const override;
-  Status DecompressWithDictionary(Slice dictionary, Slice input,
-                                  std::string* output) const override;
-  bool SupportsDictionary() const override { return true; }
 };
 
 }  // namespace spate

@@ -22,11 +22,6 @@ Lz77Matcher::Lz77Matcher(Lz77Options options) : options_(options) {
 }
 
 std::vector<LzToken> Lz77Matcher::Parse(Slice input) {
-  return ParseWithDictionary(input, 0);
-}
-
-std::vector<LzToken> Lz77Matcher::ParseWithDictionary(Slice input,
-                                                      size_t dict_size) {
   std::vector<LzToken> tokens;
   const auto* data = reinterpret_cast<const unsigned char*>(input.data());
   const size_t n = input.size();
@@ -73,14 +68,8 @@ std::vector<LzToken> Lz77Matcher::ParseWithDictionary(Slice input,
     head_[h] = static_cast<int32_t>(pos);
   };
 
-  // Seed the hash chains with the dictionary region; no tokens are emitted
-  // for it, but matches may point back into it.
-  for (size_t i = 0; i + min_match <= dict_size && i + min_match <= n; ++i) {
-    insert(i);
-  }
-
-  size_t pos = dict_size;
-  size_t literal_start = dict_size;
+  size_t pos = 0;
+  size_t literal_start = 0;
   while (pos + min_match <= n) {
     uint32_t dist = 0;
     uint32_t len = find_match(pos, &dist);

@@ -42,13 +42,6 @@ class Lz77Matcher {
   /// literal runs and back-references reproduces `input` exactly.
   std::vector<LzToken> Parse(Slice input);
 
-  /// Differential parse: `buffer` is `dictionary + payload`, with the first
-  /// `dict_size` bytes acting as a pre-seeded window (typically the previous
-  /// snapshot, per the paper's differential-compression future work).
-  /// Tokens cover only the payload; distances may reach into the
-  /// dictionary. The decoder must prepend the same dictionary.
-  std::vector<LzToken> ParseWithDictionary(Slice buffer, size_t dict_size);
-
   const Lz77Options& options() const { return options_; }
 
  private:

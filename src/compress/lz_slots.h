@@ -45,9 +45,7 @@ inline int DistSlot(uint32_t dist) {
 }
 
 // Extended (LZMA-style) distance slots: unbounded distances split into a
-// 6-bit slot plus raw direct bits. Used by the lzma-lite codec and by the
-// deflate codec's dictionary (differential) mode, whose window spans the
-// whole previous snapshot.
+// 6-bit slot plus raw direct bits. Used by the lzma-lite codec.
 
 /// Number of extended distance slots (covers distances < 2^32).
 constexpr int kNumExtDistSlots = 64;

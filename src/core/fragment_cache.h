@@ -13,7 +13,7 @@
 
 namespace spate {
 
-/// Pseudo-chunk name under which a row-layout leaf's whole materialized
+/// Pseudo-chunk name under which a row-layout leaf's whole decompressed
 /// text is cached (columnar leaves cache per real chunk name instead; the
 /// '@' prefix cannot collide with the "c:"/"n:" column chunk names).
 inline constexpr char kRowFragmentName[] = "@row";
@@ -38,12 +38,10 @@ struct FragmentCacheStats {
 /// (leaf epoch, fragment name, store generation). A fragment is the unit
 /// the decode path actually produces: one column chunk's plaintext for a
 /// columnar leaf ("@meta", "@spidx", "c:<attr>", "n:<attr>" — the 0xCD
-/// chunk names), or the whole materialized row text of a row-layout leaf
-/// under the pseudo-chunk name "@row" (delta chains cache their fully
-/// materialized result, so a hit skips the whole chain replay). Because the
-/// key is a fragment and not a query, partially-overlapping and later
-/// queries hit at fragment granularity where the whole-query `ResultCache`
-/// would miss.
+/// chunk names), or the whole decompressed row text of a row-layout leaf
+/// under the pseudo-chunk name "@row". Because the key is a fragment and
+/// not a query, partially-overlapping and later queries hit at fragment
+/// granularity where the whole-query `ResultCache` would miss.
 ///
 /// Generations are the invalidation mechanism: every mutator that can
 /// change what a leaf's bytes decode to (`Ingest`, `Decay` evictions,

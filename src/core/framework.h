@@ -89,9 +89,6 @@ struct ScanStats {
 /// (valid while no ingest/decay runs — see TemporalIndex's header).
 struct PlannerLeafInfo {
   Timestamp epoch_start = 0;
-  /// Differential leaf: decoding materializes the delta chain, so the
-  /// prediction (the leaf's own text size) is a floor, not exact.
-  bool delta = false;
   const LeafDecodeStats* stats = nullptr;
   const NodeSummary* summary = nullptr;
   /// Decoded-fragment bytes of this leaf resident in the framework's

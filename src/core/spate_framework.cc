@@ -63,7 +63,7 @@ SpateFramework::SpateFramework(SpateOptions options,
   if (options_.parallelism.worker_count > 1) {
     pool_ = std::make_unique<ThreadPool>(
         static_cast<size_t>(options_.parallelism.worker_count));
-    materialize_ctx_.decode_pool = pool_.get();
+    decode_ctx_.decode_pool = pool_.get();
   }
   if (options_.fragment_cache_bytes > 0) {
     // A recovered framework starts with a fresh (empty, generation-0)
@@ -71,13 +71,7 @@ SpateFramework::SpateFramework(SpateOptions options,
     // paths come through here.
     fragment_cache_ =
         std::make_unique<FragmentCache>(options_.fragment_cache_bytes);
-    materialize_ctx_.fragment_cache = fragment_cache_.get();
-  }
-  if (options_.differential) {
-    // Deltas must never outlive the chain they decode against: decay only
-    // at keyframe-group boundaries.
-    options_.decay.horizon_alignment_seconds =
-        std::max(1, options_.keyframe_interval) * kEpochSeconds;
+    decode_ctx_.fragment_cache = fragment_cache_.get();
   }
   if (write_meta) {
     // Persist the static cell inventory alongside the data.
@@ -153,21 +147,12 @@ Result<std::unique_ptr<SpateFramework>> SpateFramework::Recover(
     day_summaries.emplace(day, std::move(summary));
   }
 
-  // 3. Resident leaves, in time order (paths sort chronologically). Delta
-  // blobs (".d" suffix) replay against the previous epoch's text. In
-  // degraded mode a leaf whose blob cannot be read — or a delta stranded
-  // because its chain lost an earlier link — becomes a decayed placeholder
-  // so that queries over its window degrade to summaries instead of
-  // silently claiming exactness.
-  const std::vector<std::string> leaf_paths =
-      framework->dfs_->ListFiles("/spate/data/");
-  std::string prev_text;
-  Timestamp prev_epoch = -1;
-  for (const std::string& path : leaf_paths) {
-    std::string name = path.substr(path.rfind('/') + 1);
-    const bool delta = name.size() > 2 && name.ends_with(".d");
-    if (delta) name.resize(name.size() - 2);
-    const Timestamp epoch = ParseCompact(name);
+  // 3. Resident leaves, in time order (paths sort chronologically). In
+  // degraded mode a leaf whose blob cannot be read becomes a decayed
+  // placeholder so that queries over its window degrade to summaries
+  // instead of silently claiming exactness.
+  for (const std::string& path : framework->dfs_->ListFiles("/spate/data/")) {
+    const Timestamp epoch = ParseCompact(path.substr(path.rfind('/') + 1));
     if (epoch < 0) {
       return Status::Corruption("recover: unparsable leaf path " + path);
     }
@@ -184,59 +169,45 @@ Result<std::unique_ptr<SpateFramework>> SpateFramework::Recover(
     }
 
     Status status;
-    std::string text;
     std::string blob;
     Snapshot snapshot;
-    bool have_snapshot = false;
+    LeafDecodeStats decode_stats;
     auto blob_read = framework->dfs_->ReadFile(path);
     if (!blob_read.ok()) {
       status = blob_read.status();
     } else {
       blob = std::move(*blob_read);
-      if (delta) {
-        if (prev_epoch != epoch - kEpochSeconds) {
-          status = Status::Corruption("recover: delta chain broken at " + path);
-        } else {
-          status = framework->codec_->DecompressWithDictionary(prev_text, blob,
-                                                               &text);
-        }
-      } else if (IsColumnarBlob(blob)) {
-        // Columnar leaf: reassemble the full snapshot, then re-serialize it
-        // so a delta following it in a mixed store still finds chain text.
+      if (IsColumnarBlob(blob)) {
+        // Columnar leaf: reassemble the full snapshot from its chunks.
         const TableProjection all;
         status = DecodeColumnarLeaf(blob, all, all, /*wanted_cells=*/nullptr,
                                     &snapshot, /*bytes_decoded=*/nullptr);
-        if (status.ok()) {
-          have_snapshot = true;
-          text = SerializeSnapshot(snapshot);
-        }
+        if (status.ok()) ComputeColumnarLeafStats(snapshot, &decode_stats);
       } else {
         // Plain (possibly chunked) leaf blob; recovery itself walks the
         // leaves serially, but chunk parts of one blob may fan out.
+        std::string text;
         status = ChunkedDecompress(blob, framework->pool_.get(), &text);
+        decode_stats.raw_bytes = text.size();
+        if (status.ok()) status = ParseSnapshot(text, &snapshot);
       }
     }
-    if (status.ok() && !have_snapshot) status = ParseSnapshot(text, &snapshot);
     // Injection lands on the per-leaf status: degraded mode turns it into a
-    // decayed placeholder (and breaks the delta chain), strict mode aborts.
+    // decayed placeholder, strict mode aborts.
     SPATE_FAILPOINT_INJECT("index.load.leaf", status);
 
     if (!status.ok()) {
       if (!tolerate || !DegradableFailure(status)) return status;
       // Placeholder: the epoch existed but its raw data is lost. It enters
-      // the index already decayed (summary-only windows), and it breaks the
-      // delta chain so stranded successors are skipped too.
+      // the index already decayed (summary-only windows).
       LeafNode lost;
       lost.epoch_start = epoch;
       lost.dfs_path = path;
       lost.decayed = true;
-      lost.delta = delta;
       SPATE_RETURN_IF_ERROR(framework->index_.AddLeaf(std::move(lost)));
       framework->last_day_persisted_ = TruncateToDay(epoch);
       ++report.leaves_skipped;
       report.skipped_epochs.push_back(epoch);
-      prev_text.clear();
-      prev_epoch = -1;
       continue;
     }
 
@@ -244,24 +215,13 @@ Result<std::unique_ptr<SpateFramework>> SpateFramework::Recover(
     leaf.epoch_start = epoch;
     leaf.dfs_path = path;
     leaf.stored_bytes = blob.size();
-    leaf.delta = delta;
     leaf.summary.AddSnapshot(snapshot);
-    // Rebuild the planner's decode-cost statistics from the decoded
-    // snapshot; the sizes equal what the original ingest recorded.
-    if (have_snapshot) {
-      ComputeColumnarLeafStats(snapshot, &leaf.decode_stats);
-    } else {
-      leaf.decode_stats.raw_bytes = text.size();
-    }
+    // The planner's decode-cost statistics, rebuilt from the decoded leaf;
+    // the sizes equal what the original ingest recorded.
+    leaf.decode_stats = std::move(decode_stats);
     SPATE_RETURN_IF_ERROR(framework->index_.AddLeaf(std::move(leaf)));
     framework->last_day_persisted_ = TruncateToDay(epoch);
     ++report.leaves_recovered;
-    prev_text = std::move(text);
-    prev_epoch = epoch;
-    if (framework->options_.differential) {
-      framework->last_ingest_text_ = prev_text;
-      framework->last_ingest_epoch_ = epoch;
-    }
   }
   // Any remaining sealed days newer than every resident leaf.
   for (auto& [day, summary] : day_summaries) {
@@ -273,68 +233,37 @@ Result<std::unique_ptr<SpateFramework>> SpateFramework::Recover(
   return framework;
 }
 
-bool SpateFramework::IsKeyframe(Timestamp epoch_start) const {
-  const int64_t interval = std::max(1, options_.keyframe_interval);
-  return (epoch_start / kEpochSeconds) % interval == 0;
-}
-
 Status SpateFramework::Ingest(const Snapshot& snapshot) {
   // Snapshot admission: an injected failure here models the pipeline
   // rejecting the epoch before any compression or storage work.
   SPATE_FAILPOINT("core.ingest");
   last_ingest_ = IngestStats();
 
-  // Storage layer: serialize + lossless compression (CPU). In differential
-  // mode, non-keyframe snapshots compress against the previous epoch's
-  // text; a gap in the stream forces a keyframe (the chain must be
-  // contiguous).
+  // Storage layer: serialize + lossless compression (CPU).
   Stopwatch compress_timer;
-  const bool columnar = options_.leaf_layout == LeafLayout::kColumnar;
   std::string compressed;
-  bool delta = false;
-  std::string text;
   LeafDecodeStats decode_stats;
-  if (columnar) {
+  if (options_.leaf_layout == LeafLayout::kColumnar) {
     // Columnar layout: shred the snapshot into per-attribute chunks (each
     // compressed independently, in parallel on the pool when one exists —
-    // the stored bytes never depend on the worker count). Columnar leaves
-    // are always full keyframes; differential deltas apply only to row text.
+    // the stored bytes never depend on the worker count).
     SPATE_RETURN_IF_ERROR(EncodeColumnarLeaf(*codec_, snapshot, pool_.get(),
                                              &compressed, &decode_stats));
   } else {
-    text = SerializeSnapshot(snapshot);
+    const std::string text = SerializeSnapshot(snapshot);
     decode_stats.raw_bytes = text.size();
-    const bool try_delta = options_.differential &&
-                           codec_->SupportsDictionary() &&
-                           !IsKeyframe(snapshot.epoch_start) &&
-                           last_ingest_epoch_ ==
-                               snapshot.epoch_start - kEpochSeconds;
     // Ingest fan-out: the snapshot text is partitioned into independent
     // compression jobs (content-driven, so the stored bytes do not depend on
     // the worker count) and compressed on the shared pool when one exists.
     SPATE_RETURN_IF_ERROR(
         ChunkedCompress(*codec_, text, options_.parallelism.ingest_chunk_bytes,
                         pool_.get(), &compressed));
-    if (try_delta) {
-      // Deltas only pay off when cross-snapshot redundancy beats the
-      // within-snapshot redundancy the plain codec already captures; keep
-      // whichever encoding is smaller (the leaf records which one won).
-      std::string delta_blob;
-      SPATE_RETURN_IF_ERROR(
-          codec_->CompressWithDictionary(last_ingest_text_, text, &delta_blob));
-      if (delta_blob.size() < compressed.size()) {
-        compressed = std::move(delta_blob);
-        delta = true;
-      }
-    }
   }
   last_ingest_.compress_seconds = compress_timer.ElapsedSeconds();
 
-  // Replicated store (simulated disk time). Delta blobs get a ".d" path
-  // suffix so recovery can tell the encodings apart.
+  // Replicated store (simulated disk time).
   const double io_before = dfs_->stats().simulated_write_seconds;
-  const std::string path =
-      LeafPath(snapshot.epoch_start) + (delta ? ".d" : "");
+  const std::string path = LeafPath(snapshot.epoch_start);
   SPATE_RETURN_IF_ERROR(dfs_->WriteFile(path, compressed));
   last_ingest_.store_seconds =
       dfs_->stats().simulated_write_seconds - io_before;
@@ -346,7 +275,6 @@ Status SpateFramework::Ingest(const Snapshot& snapshot) {
   leaf.epoch_start = snapshot.epoch_start;
   leaf.dfs_path = path;
   leaf.stored_bytes = compressed.size();
-  leaf.delta = delta;
   leaf.summary.AddSnapshot(snapshot);
   leaf.decode_stats = std::move(decode_stats);
 
@@ -380,17 +308,6 @@ Status SpateFramework::Ingest(const Snapshot& snapshot) {
     return add;
   }
 
-  if (options_.differential) {
-    if (columnar) {
-      // A columnar leaf never serves as a delta dictionary: drop the chain
-      // state so the next row-layout epoch starts a fresh keyframe.
-      last_ingest_text_.clear();
-      last_ingest_epoch_ = -1;
-    } else {
-      last_ingest_text_ = text;
-      last_ingest_epoch_ = snapshot.epoch_start;
-    }
-  }
   // The store changed: advance the fragment-cache generation so no scan
   // serves bytes of the pre-ingest store state.
   if (fragment_cache_ != nullptr) fragment_cache_->BumpGeneration();
@@ -398,162 +315,56 @@ Status SpateFramework::Ingest(const Snapshot& snapshot) {
   return Status::OK();
 }
 
-Result<std::string> SpateFramework::MaterializeLeafWith(
-    const LeafNode& leaf, DecodeContext* ctx) const {
-  if (leaf.decayed) {
-    return Status::NotFound("leaf decayed: " + leaf.dfs_path);
-  }
-  if (ctx->cache_epoch == leaf.epoch_start) {
-    return ctx->cache_text;
-  }
-  // Fragment cache: a row leaf's whole materialized text lives under the
-  // "@row" pseudo-chunk (delta leaves cache their *resolved* text, so a
-  // hit skips the entire chain replay). A hit skips the DFS read too and
-  // charges no decoded bytes. Columnar leaves cache per chunk instead —
-  // their "@row" probe always misses.
-  if (ctx->fragment_cache != nullptr) {
-    std::string cached;
-    if (ctx->fragment_cache->Lookup(leaf.epoch_start, kRowFragmentName,
-                                    ctx->fragment_generation, &cached)) {
-      ++ctx->fragment_hits;
-      ctx->fragment_bytes_saved += cached.size();
-      if (options_.differential || leaf.delta) {
-        ctx->cache_epoch = leaf.epoch_start;
-        ctx->cache_text = cached;
-      }
-      return cached;
-    }
-  }
-  SPATE_ASSIGN_OR_RETURN(std::string blob, dfs_->ReadFile(leaf.dfs_path));
-  std::string text;
-  if (!leaf.delta && IsColumnarBlob(blob)) {
-    // Columnar leaf: a full materialization reassembles every column and
-    // re-serializes to row text, so the delta-chain and parse paths above
-    // this call work unchanged on mixed stores.
-    Snapshot decoded;
-    const TableProjection all;
-    FragmentCacheScope fragments{ctx->fragment_cache, leaf.epoch_start,
-                                 ctx->fragment_generation, 0, 0};
-    SPATE_RETURN_IF_ERROR(DecodeColumnarLeaf(blob, all, all,
-                                             /*wanted_cells=*/nullptr,
-                                             &decoded, &ctx->bytes_decoded,
-                                             &fragments));
-    ctx->fragment_hits += fragments.hits;
-    ctx->fragment_bytes_saved += fragments.bytes_saved;
-    text = SerializeSnapshot(decoded);
-  } else if (!leaf.delta) {
-    // Plain (possibly chunked) blob; chunk parts may decode on the pool,
-    // unless this context belongs to a scan worker that is itself one arm
-    // of a fan-out (then decode_pool is null — no nested fan-out).
-    SPATE_RETURN_IF_ERROR(ChunkedDecompress(blob, ctx->decode_pool, &text));
-    ctx->bytes_decoded += text.size();
-  } else {
-    // Resolve the chain: the delta decodes against the previous epoch's
-    // text (cached when scanning sequentially; otherwise at most
-    // keyframe_interval - 1 recursive steps back to the keyframe).
-    const Timestamp prev_epoch = leaf.epoch_start - kEpochSeconds;
-    const LeafNode* prev = index_.FindLeaf(prev_epoch);
-    if (prev == nullptr) {
-      return Status::Corruption("delta leaf without predecessor: " +
-                                leaf.dfs_path);
-    }
-    SPATE_ASSIGN_OR_RETURN(std::string prev_text,
-                           MaterializeLeafWith(*prev, ctx));
-    SPATE_RETURN_IF_ERROR(
-        codec_->DecompressWithDictionary(prev_text, blob, &text));
-    ctx->bytes_decoded += text.size();
-  }
-  // Admit the materialized row text (not the columnar re-serialization —
-  // columnar leaves already cached per chunk above, and caching both would
-  // spend the budget twice on the same leaf).
-  if (ctx->fragment_cache != nullptr &&
-      (leaf.delta || !IsColumnarBlob(blob))) {
-    ctx->fragment_cache->Insert(leaf.epoch_start, kRowFragmentName,
-                                ctx->fragment_generation, text);
-  }
-  // The one-entry cache exists to resolve delta chains against the
-  // previous epoch in O(1); outside differential mode (and off any delta
-  // chain — a recovered store can hold deltas the options no longer
-  // advertise) it would only buy a full text copy per leaf.
-  if (options_.differential || leaf.delta) {
-    ctx->cache_epoch = leaf.epoch_start;
-    ctx->cache_text = text;
-  }
-  return text;
-}
-
 Status SpateFramework::DecodeLeafWith(const LeafNode& leaf,
                                       const LeafScanOptions& opts,
                                       DecodeContext* ctx,
                                       Snapshot* snapshot) const {
-  if (!opts.restricted()) {
-    // Unrestricted scan: the classic path, bit for bit.
-    SPATE_ASSIGN_OR_RETURN(std::string text, MaterializeLeafWith(leaf, ctx));
-    return ParseSnapshot(text, snapshot);
-  }
   if (leaf.decayed) {
     return Status::NotFound("leaf decayed: " + leaf.dfs_path);
   }
-  // Restriction via the reference semantics, for every path that has to
-  // materialize full row text anyway.
-  auto restrict_text = [&](const std::string& text) -> Status {
-    Snapshot full;
-    SPATE_RETURN_IF_ERROR(ParseSnapshot(text, &full));
-    *snapshot = RestrictSnapshot(full, opts.cdr, opts.nms, opts.wanted_cells);
-    return Status::OK();
-  };
-  if (leaf.delta || ctx->cache_epoch == leaf.epoch_start) {
-    // Delta chains (and cache hits) only exist as full row text.
-    SPATE_ASSIGN_OR_RETURN(std::string text, MaterializeLeafWith(leaf, ctx));
-    return restrict_text(text);
-  }
-  // Fragment cache, row-text probe: a resident "@row" fragment restricts
-  // in memory without the DFS read or any decompression. Columnar leaves
-  // never have one (they cache per chunk), so a hit implies row layout and
-  // `RestrictSnapshot` over the parsed text — the reference semantics the
-  // columnar reader is byte-identical to either way.
-  if (ctx->fragment_cache != nullptr) {
-    std::string cached;
-    if (ctx->fragment_cache->Lookup(leaf.epoch_start, kRowFragmentName,
-                                    ctx->fragment_generation, &cached)) {
-      ++ctx->fragment_hits;
-      ctx->fragment_bytes_saved += cached.size();
-      if (options_.differential) {
-        ctx->cache_epoch = leaf.epoch_start;
-        ctx->cache_text = cached;
-      }
-      return restrict_text(cached);
+  // Fragment cache: a row leaf's whole decompressed text lives under the
+  // "@row" pseudo-chunk. A hit skips the DFS read too and charges no
+  // decoded bytes. Columnar leaves cache per chunk instead — their "@row"
+  // probe always misses.
+  std::string text;
+  if (ctx->fragment_cache != nullptr &&
+      ctx->fragment_cache->Lookup(leaf.epoch_start, kRowFragmentName,
+                                  ctx->fragment_generation, &text)) {
+    ++ctx->fragment_hits;
+    ctx->fragment_bytes_saved += text.size();
+  } else {
+    SPATE_ASSIGN_OR_RETURN(std::string blob, dfs_->ReadFile(leaf.dfs_path));
+    if (IsColumnarBlob(blob)) {
+      // The pushdown proper: decode only the column chunks the projections
+      // call for (every chunk for an unrestricted scan), and with a cell
+      // restriction only the matching rows, straight into the snapshot.
+      // The fragment scope serves/admits individual chunk plaintexts.
+      FragmentCacheScope fragments{ctx->fragment_cache, leaf.epoch_start,
+                                   ctx->fragment_generation, 0, 0};
+      const Status status =
+          DecodeColumnarLeaf(blob, opts.cdr, opts.nms, opts.wanted_cells,
+                             snapshot, &ctx->bytes_decoded, &fragments);
+      ctx->fragment_hits += fragments.hits;
+      ctx->fragment_bytes_saved += fragments.bytes_saved;
+      return status;
+    }
+    // Row leaf (plain or chunked blob); chunk parts may decode on the pool,
+    // unless this context belongs to a scan worker that is itself one arm
+    // of a fan-out (then decode_pool is null — no nested fan-out).
+    SPATE_RETURN_IF_ERROR(ChunkedDecompress(blob, ctx->decode_pool, &text));
+    ctx->bytes_decoded += text.size();
+    if (ctx->fragment_cache != nullptr) {
+      ctx->fragment_cache->Insert(leaf.epoch_start, kRowFragmentName,
+                                  ctx->fragment_generation, text);
     }
   }
-  SPATE_ASSIGN_OR_RETURN(std::string blob, dfs_->ReadFile(leaf.dfs_path));
-  if (IsColumnarBlob(blob)) {
-    // The pushdown proper: decode only the column chunks the projections
-    // call for, and with a cell restriction only the matching rows. The
-    // fragment scope serves/admits individual chunk plaintexts.
-    FragmentCacheScope fragments{ctx->fragment_cache, leaf.epoch_start,
-                                 ctx->fragment_generation, 0, 0};
-    const Status status =
-        DecodeColumnarLeaf(blob, opts.cdr, opts.nms, opts.wanted_cells,
-                           snapshot, &ctx->bytes_decoded, &fragments);
-    ctx->fragment_hits += fragments.hits;
-    ctx->fragment_bytes_saved += fragments.bytes_saved;
-    return status;
-  }
-  // Row leaf: full decode, then restrict in memory. Cache the text under
-  // the same policy as MaterializeLeafWith, so a later delta in the scan
-  // still resolves against this leaf in O(1).
-  std::string text;
-  SPATE_RETURN_IF_ERROR(ChunkedDecompress(blob, ctx->decode_pool, &text));
-  ctx->bytes_decoded += text.size();
-  if (ctx->fragment_cache != nullptr) {
-    ctx->fragment_cache->Insert(leaf.epoch_start, kRowFragmentName,
-                                ctx->fragment_generation, text);
-  }
-  if (options_.differential) {
-    ctx->cache_epoch = leaf.epoch_start;
-    ctx->cache_text = text;
-  }
-  return restrict_text(text);
+  if (!opts.restricted()) return ParseSnapshot(text, snapshot);
+  // Row leaf under a projection or box: full parse, then restrict in
+  // memory — the reference semantics the columnar reader matches.
+  Snapshot full;
+  SPATE_RETURN_IF_ERROR(ParseSnapshot(text, &full));
+  *snapshot = RestrictSnapshot(full, opts.cdr, opts.nms, opts.wanted_cells);
+  return Status::OK();
 }
 
 size_t SpateFramework::RunDecay(Timestamp now) {
@@ -561,13 +372,8 @@ size_t SpateFramework::RunDecay(Timestamp now) {
 }
 
 size_t SpateFramework::RunDecay(const DecayPolicy& policy, Timestamp now) {
-  DecayPolicy effective = policy;
-  // Never break delta chains, whatever policy the operator hands in.
-  effective.horizon_alignment_seconds = std::max(
-      effective.horizon_alignment_seconds,
-      options_.decay.horizon_alignment_seconds);
   const size_t evicted = index_.Decay(
-      effective, now,
+      policy, now,
       [this](const LeafNode& leaf) {
         // Decay deletions are idempotent; an already-absent file is fine.
         (void)dfs_->DeleteFile(leaf.dfs_path);
@@ -651,7 +457,7 @@ Status SpateFramework::ScanLeaves(
   // keys against one consistent store state.
   const uint64_t fragment_generation =
       fragment_cache_ != nullptr ? fragment_cache_->generation() : 0;
-  materialize_ctx_.fragment_generation = fragment_generation;
+  decode_ctx_.fragment_generation = fragment_generation;
   std::vector<const LeafNode*> surviving;
   if (opts.skip_leaves && opts.wanted_cells != nullptr) {
     surviving.reserve(leaves.size());
@@ -666,8 +472,8 @@ Status SpateFramework::ScanLeaves(
   const std::vector<const LeafNode*>& scan_leaves =
       (opts.skip_leaves && opts.wanted_cells != nullptr) ? surviving : leaves;
   // Folds one leaf's outcome into the scan, in timestamp order, on the
-  // calling thread. A degradable failure — every replica of the leaf (or of
-  // its delta chain) unreadable — skips the epoch and records it instead of
+  // calling thread. A degradable failure — every replica of the leaf
+  // unreadable — skips the epoch and records it instead of
   // failing the whole scan; callers consult `last_scan_stats()`.
 #ifndef NDEBUG
   // Fold-order hook: the serial fold must visit leaves in strictly
@@ -702,17 +508,17 @@ Status SpateFramework::ScanLeaves(
       // aborts instead of marking the rest of the window skipped.
       if (cancel_ != nullptr) SPATE_RETURN_IF_ERROR(cancel_->Check());
       Snapshot snapshot;
-      const uint64_t bytes_before = materialize_ctx_.bytes_decoded;
-      const uint64_t hits_before = materialize_ctx_.fragment_hits;
-      const uint64_t saved_before = materialize_ctx_.fragment_bytes_saved;
+      const uint64_t bytes_before = decode_ctx_.bytes_decoded;
+      const uint64_t hits_before = decode_ctx_.fragment_hits;
+      const uint64_t saved_before = decode_ctx_.fragment_bytes_saved;
       const Status status =
-          DecodeLeafWith(*leaf, opts, &materialize_ctx_, &snapshot);
+          DecodeLeafWith(*leaf, opts, &decode_ctx_, &snapshot);
       last_scan_.bytes_decoded +=
-          materialize_ctx_.bytes_decoded - bytes_before;
+          decode_ctx_.bytes_decoded - bytes_before;
       last_scan_.fragment_hits +=
-          materialize_ctx_.fragment_hits - hits_before;
+          decode_ctx_.fragment_hits - hits_before;
       last_scan_.bytes_decoded_saved +=
-          materialize_ctx_.fragment_bytes_saved - saved_before;
+          decode_ctx_.fragment_bytes_saved - saved_before;
       SPATE_RETURN_IF_ERROR(fold(*leaf, status, snapshot));
     }
     return Status::OK();
@@ -721,10 +527,9 @@ Status SpateFramework::ScanLeaves(
   // Scan fan-out: decode leaves concurrently in bounded batches (capping
   // the number of simultaneously materialized snapshots), then fold each
   // batch serially in timestamp order. Workers take contiguous leaf ranges
-  // with a private decode buffer, so delta chains still resolve against the
-  // worker's previous leaf; stats are only touched in the serial fold — no
-  // hot-path atomics, and the fold order (hence `last_scan_`) is identical
-  // to the serial path's.
+  // with a private decode context; stats are only touched in the serial
+  // fold — no hot-path atomics, and the fold order (hence `last_scan_`) is
+  // identical to the serial path's.
   struct Slot {
     Status status;
     Snapshot snapshot;
@@ -827,7 +632,7 @@ PlannerStatistics SpateFramework::CollectPlannerStatistics(
   const uint64_t generation =
       fragment_cache_ != nullptr ? fragment_cache_->generation() : 0;
   for (const LeafNode* leaf : leaves) {
-    PlannerLeafInfo info{leaf->epoch_start, leaf->delta, &leaf->decode_stats,
+    PlannerLeafInfo info{leaf->epoch_start, &leaf->decode_stats,
                          &leaf->summary, 0};
     if (fragment_cache_ != nullptr) {
       info.fragment_cached_bytes =

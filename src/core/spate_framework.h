@@ -57,19 +57,11 @@ struct SpateOptions {
   /// Run the decaying module after every ingest (stream-time driven).
   bool auto_decay = true;
 
-  /// Differential storage (the paper's Section IX-B future work): store
-  /// most snapshots as deltas against the previous epoch's text, with a
-  /// full keyframe every `keyframe_interval` epochs. Requires a codec with
-  /// dictionary support (deflate); decay then evicts whole keyframe groups.
-  bool differential = false;
-  int keyframe_interval = 8;
-
   /// Storage layout of newly written leaves. `kRow` (the default) stays
   /// bit-compatible with existing stores; `kColumnar` enables projection
   /// pushdown in the scan path. Readers dispatch on each blob's leading
   /// byte, so mixed stores (e.g. a recovered row store continued in
-  /// columnar mode) work transparently. Columnar leaves are always full
-  /// keyframes: `differential` deltas apply only to row-layout leaves.
+  /// columnar mode) work transparently.
   LeafLayout leaf_layout = LeafLayout::kRow;
 
   /// Whole-leaf spatial skipping: a bounding-box scan consults each leaf's
@@ -106,8 +98,8 @@ struct SpateOptions {
 /// from the surviving DFS files and what had to be skipped.
 struct RecoveryReport {
   size_t leaves_recovered = 0;
-  /// Leaves whose blob was unreadable/corrupt, or stranded deltas whose
-  /// chain lost its keyframe; each becomes a decayed placeholder leaf.
+  /// Leaves whose blob was unreadable/corrupt; each becomes a decayed
+  /// placeholder leaf.
   size_t leaves_skipped = 0;
   size_t day_summaries_recovered = 0;
   /// Persisted day summaries that could not be read back.
@@ -134,19 +126,17 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
 
   /// Recovery: rebuilds a framework from an existing DFS (e.g. after a
   /// process restart). The cell inventory is read back from
-  /// /spate/meta/cells; resident leaves are decompressed in time order
-  /// (delta chains replay from their keyframes) and their summaries
-  /// recomputed; fully-decayed days are restored from their persisted day
-  /// summaries. Days that were only partially decayed keep the stats of
-  /// their resident leaves (the evicted leaves' raw data is gone by
-  /// design).
+  /// /spate/meta/cells; resident leaves are decompressed in time order and
+  /// their summaries recomputed; fully-decayed days are restored from their
+  /// persisted day summaries. Days that were only partially decayed keep
+  /// the stats of their resident leaves (the evicted leaves' raw data is
+  /// gone by design).
   ///
   /// With `degraded_reads` (the default) recovery also tolerates storage
   /// faults: a leaf whose blob is unreadable (every replica corrupt or on a
-  /// dead datanode) — or a delta stranded by such a loss earlier in its
-  /// chain — is re-inserted as a decayed placeholder instead of aborting
-  /// the rebuild, and unreadable persisted day summaries are dropped.
-  /// `recovery_report()` itemizes everything skipped. Only the cell
+  /// dead datanode) is re-inserted as a decayed placeholder instead of
+  /// aborting the rebuild, and unreadable persisted day summaries are
+  /// dropped. `recovery_report()` itemizes everything skipped. Only the cell
   /// inventory remains load-bearing: if /spate/meta/cells is unreadable the
   /// recovery fails.
   static Result<std::unique_ptr<SpateFramework>> Recover(
@@ -250,15 +240,11 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
   /// DFS path of the raw (compressed) snapshot for an epoch.
   static std::string LeafPath(Timestamp epoch_start);
 
-  /// Per-worker leaf-decode state: a one-entry materialization cache (so a
-  /// sequential run over contiguous leaves resolves each delta against its
-  /// already-decoded predecessor) plus the pool — if any — that chunked
-  /// single-blob decodes may fan out on. Workers of a parallel scan each
-  /// own one with `decode_pool == nullptr` (fan out across leaves OR across
-  /// chunk parts, never both nested).
+  /// Per-worker leaf-decode state: the pool — if any — that chunked
+  /// single-blob decodes may fan out on, plus the counters a scan folds.
+  /// Workers of a parallel scan each own one with `decode_pool == nullptr`
+  /// (fan out across leaves OR across chunk parts, never both nested).
   struct DecodeContext {
-    Timestamp cache_epoch = -1;
-    std::string cache_text;
     ThreadPool* decode_pool = nullptr;
     /// Cumulative decompressed bytes this context produced (cache hits add
     /// nothing); scans fold per-leaf deltas into
@@ -292,18 +278,13 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
     }
   };
 
-  /// Reads + decodes the raw text of one leaf into `ctx`'s cache, resolving
-  /// delta chains back to their keyframe (columnar blobs decode fully and
-  /// re-serialize, so a delta can chain off a columnar predecessor in a
-  /// mixed store). Touches no framework state except `ctx`, the
-  /// (thread-safe) DFS and the const index/codec — the parallel scan path
-  /// calls it concurrently with per-worker contexts.
-  Result<std::string> MaterializeLeafWith(const LeafNode& leaf,
-                                          DecodeContext* ctx) const;
-
   /// Decodes one leaf into a (possibly projected/restricted) snapshot per
   /// `opts`. Columnar blobs decode exactly the chunks the options call
-  /// for; row blobs materialize their full text and restrict in memory.
+  /// for, straight into the snapshot; row blobs decompress their full text
+  /// (cached whole under "@row"), parse it and restrict in memory. Touches
+  /// no framework state except `ctx`, the (thread-safe) DFS and fragment
+  /// cache — the parallel scan path calls it concurrently with per-worker
+  /// contexts.
   Status DecodeLeafWith(const LeafNode& leaf, const LeafScanOptions& opts,
                         DecodeContext* ctx, Snapshot* snapshot) const;
 
@@ -316,9 +297,6 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
   Status ScanLeaves(const std::vector<const LeafNode*>& leaves,
                     const LeafScanOptions& opts,
                     const std::function<void(const Snapshot&)>& fn);
-
-  /// True if the snapshot at `epoch_start` starts a keyframe group.
-  bool IsKeyframe(Timestamp epoch_start) const;
 
   /// Shared construction guts for the public ctor and `Recover`.
   SpateFramework(SpateOptions options,
@@ -339,11 +317,8 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
   Timestamp last_day_persisted_ = -1;
   /// Installed by `SetCancelToken`; polled by scans. Not owned.
   const CancelToken* cancel_ = nullptr;
-  // Differential-mode state.
-  std::string last_ingest_text_;
-  Timestamp last_ingest_epoch_ = -1;
-  /// Serial-path materialization cache (parallel scans use per-worker ones).
-  DecodeContext materialize_ctx_;
+  /// Serial-path decode context (parallel scans use per-worker ones).
+  DecodeContext decode_ctx_;
   /// Decoded-fragment cache (null when `fragment_cache_bytes == 0`). The
   /// cache object is internally synchronized; the generation discipline —
   /// bump on every mutator, capture once per scan — follows the

@@ -245,34 +245,10 @@ bool TemporalIndex::WindowFullyResolved(Timestamp begin, Timestamp end) const {
   return true;
 }
 
-const LeafNode* TemporalIndex::FindLeaf(Timestamp epoch_start) const {
-  const Timestamp day_start = TruncateToDay(epoch_start);
-  for (const YearNode& year : years_) {
-    if (year.year_start != TruncateToYear(epoch_start)) continue;
-    for (const MonthNode& month : year.months) {
-      if (month.month_start != TruncateToMonth(epoch_start)) continue;
-      for (const DayNode& day : month.days) {
-        if (day.day_start != day_start) continue;
-        for (const LeafNode& leaf : day.leaves) {
-          if (leaf.epoch_start == epoch_start) return &leaf;
-        }
-        return nullptr;
-      }
-      return nullptr;
-    }
-    return nullptr;
-  }
-  return nullptr;
-}
-
 size_t TemporalIndex::Decay(const DecayPolicy& policy, Timestamp now,
                             const std::function<void(const LeafNode&)>& evict,
                             const std::function<void(const DayNode&)>& evict_day) {
-  Timestamp horizon = now - policy.full_resolution_seconds;
-  if (policy.horizon_alignment_seconds > 0) {
-    const int64_t a = policy.horizon_alignment_seconds;
-    horizon -= ((horizon % a) + a) % a;  // floor to alignment multiple
-  }
+  const Timestamp horizon = now - policy.full_resolution_seconds;
   size_t evicted = 0;
   // Stage 1 — Evict Oldest Individuals: walk leaves in time order, stop at
   // the horizon.

@@ -66,9 +66,6 @@ struct LeafNode {
   uint64_t stored_bytes = 0;  // compressed size on the DFS (0 once decayed)
   NodeSummary summary;
   bool decayed = false;
-  /// Differential storage: the blob is a delta against the previous epoch's
-  /// text (decoding requires materializing the chain back to a keyframe).
-  bool delta = false;
   /// Plaintext sizes a decode of this leaf produces (SQL planner input).
   LeafDecodeStats decode_stats;
 };
@@ -106,10 +103,6 @@ struct DecayPolicy {
   /// period is served at month resolution. Clamped to be no shorter than
   /// `full_resolution_seconds` plus one day.
   int64_t day_resolution_seconds = 2ll * 365 * 86400;
-  /// When > 0, the eviction horizon is rounded down to a multiple of this
-  /// (used by differential storage to evict whole keyframe groups only, so
-  /// a delta never outlives the chain it decodes against).
-  int64_t horizon_alignment_seconds = 0;
 };
 
 /// Result of looking up the smallest single node covering a time window.
@@ -151,10 +144,6 @@ class SPATE_EXTERNALLY_SYNCHRONIZED TemporalIndex {
   /// Non-decayed leaves whose epoch intersects [begin, end), in time order.
   std::vector<const LeafNode*> LeavesInWindow(Timestamp begin,
                                               Timestamp end) const;
-
-  /// The leaf whose epoch starts exactly at `epoch_start`, or nullptr.
-  /// Returns decayed leaves too (callers check `decayed`).
-  const LeafNode* FindLeaf(Timestamp epoch_start) const;
 
   /// Merged summary of all data in [begin, end), using whole-day node
   /// summaries where the window covers a full day and leaf summaries at the

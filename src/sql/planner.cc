@@ -232,12 +232,9 @@ Result<QueryPlan> PlanSelect(Framework& framework,
       ++plan.leaves_skipped;
       continue;
     }
-    if (leaf.delta || !ds.columnar) {
-      // Row (or differential) leaf: a restricted decode still inflates the
-      // full text; for deltas the leaf's own text is a floor (the chain's
-      // predecessors materialize too).
-      plan.cost_projected +=
-          discounted(ds.columnar ? ds.FullDecodeBytes() : ds.raw_bytes);
+    if (!ds.columnar) {
+      // Row leaf: a restricted decode still inflates the full text.
+      plan.cost_projected += discounted(ds.raw_bytes);
       continue;
     }
     uint64_t leaf_cost = ds.meta_bytes;

@@ -67,9 +67,8 @@ struct QueryPlan {
   /// the exact query the cache hit was probed with.
   ExplorationQuery query;
   /// Predicted decompressed bytes of the chosen path (the number EXPLAIN
-  /// prints against `ScanStats::bytes_decoded`). Exact for non-differential
-  /// SPATE stores; a floor when differential leaves must materialize their
-  /// delta chains. Zero for plans that decode nothing.
+  /// prints against `ScanStats::bytes_decoded`); exact for SPATE stores.
+  /// Zero for plans that decode nothing.
   uint64_t predicted_bytes = 0;
   /// Both sides of the scan decision (0 when statistics are unavailable).
   uint64_t cost_row = 0;

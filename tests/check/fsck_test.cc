@@ -1,5 +1,5 @@
 // spate::check::Fsck as the cross-layer corruption oracle: a clean store —
-// plain, chunked or differential — produces zero violations, and each
+// plain, chunked or recovered — produces zero violations, and each
 // seeded corruption class is detected under its exact invariant id. Also
 // covers the repair loop: detect -> RepairScan -> re-check clean.
 
@@ -88,14 +88,6 @@ TEST(FsckTest, CleanChunkedStoreHasNoViolations) {
   const check::FsckReport report = spate->Fsck();
   EXPECT_TRUE(report.clean()) << report.ToString();
   EXPECT_GT(report.containers_checked, 0u);
-}
-
-TEST(FsckTest, CleanDifferentialStoreHasNoViolations) {
-  SpateOptions options;
-  options.differential = true;
-  auto spate = BuildStore(options, SmallTrace());
-  const check::FsckReport report = spate->Fsck();
-  EXPECT_TRUE(report.clean()) << report.ToString();
 }
 
 TEST(FsckTest, CleanRecoveredStorePassesFsck) {

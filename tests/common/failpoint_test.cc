@@ -34,7 +34,9 @@ TEST_F(FailpointTest, RegistryEnumeratesSortedUniqueIds) {
     EXPECT_FALSE(all[i].armed);
     EXPECT_EQ(all[i].passages, 0u);
     EXPECT_EQ(all[i].trips, 0u);
-    if (i > 0) EXPECT_LT(all[i - 1].id, all[i].id) << "registry not sorted";
+    if (i > 0) {
+      EXPECT_LT(all[i - 1].id, all[i].id) << "registry not sorted";
+    }
   }
 }
 

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
+#include "common/bit_stream.h"
 #include "common/random.h"
+#include "compress/huffman.h"
+#include "compress/lz_slots.h"
 
 namespace spate {
 namespace {
@@ -215,6 +219,39 @@ TEST(CodecRegistryTest, LookupByIdMatchesName) {
   }
   EXPECT_EQ(CodecRegistry::Get("bogus"), nullptr);
   EXPECT_EQ(CodecRegistry::GetById(200), nullptr);
+}
+
+TEST(DeflateCodecTest, RejectsDistanceBeforeStreamStart) {
+  // A hand-built deflate block whose first token is a length-3 match at
+  // distance 5, before any byte has been produced: the decoder must reject
+  // the back-reference instead of copying from before its output.
+  const Codec* codec = CodecRegistry::Get("deflate");
+  ASSERT_NE(codec, nullptr);
+  std::string blob;
+  compress_internal::PutEnvelope(codec->Id(), Slice("abcdefgh"), &blob);
+  std::vector<uint8_t> lit_lengths(257 + kNumLengthSlots, 0);
+  lit_lengths[256] = 1;  // end of block
+  lit_lengths[257] = 1;  // length slot 0: match length 3
+  std::vector<uint8_t> dist_lengths(kNumDistSlots, 0);
+  dist_lengths[4] = 1;  // distance slot 4: distance 5 plus one extra bit
+  const HuffmanEncoder lit_enc(lit_lengths);
+  const HuffmanEncoder dist_enc(dist_lengths);
+  BitWriter writer(&blob);
+  writer.WriteBit(true);  // final block
+  WriteCodeLengths(&writer, lit_lengths);
+  WriteCodeLengths(&writer, dist_lengths);
+  lit_enc.Encode(&writer, 257);
+  dist_enc.Encode(&writer, 4);
+  writer.WriteBits(0, kDistExtraBits[4]);
+  lit_enc.Encode(&writer, 256);
+  writer.Finish();
+
+  std::string output;
+  const Status status = codec->Decompress(blob, &output);
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_NE(status.ToString().find("distance before stream start"),
+            std::string::npos)
+      << status.ToString();
 }
 
 }  // namespace

@@ -71,29 +71,6 @@ TEST_P(CodecTruncationSweep, EnvelopePrefixesNeverCrashOrMisdecode) {
                    });
 }
 
-TEST_P(CodecTruncationSweep, DictionaryPrefixesNeverCrashOrMisdecode) {
-  const Codec* codec = CodecRegistry::Get(GetParam());
-  ASSERT_NE(codec, nullptr);
-  if (!codec->SupportsDictionary()) {
-    GTEST_SKIP() << GetParam() << " has no dictionary support";
-  }
-  const std::string dictionary = SampleText();
-  std::string current = dictionary;
-  current.replace(20, 5, "XXXXX");  // a near-identical next snapshot
-  std::string delta;
-  ASSERT_TRUE(
-      codec->CompressWithDictionary(dictionary, current, &delta).ok());
-  SweepAllPrefixes(delta, std::string("dictionary/") + GetParam(),
-                   [&](Slice prefix) {
-                     std::string output;
-                     const Status status = codec->DecompressWithDictionary(
-                         dictionary, prefix, &output);
-                     if (status.ok()) {
-                       EXPECT_EQ(output, current);
-                     }
-                   });
-}
-
 INSTANTIATE_TEST_SUITE_P(AllCodecs, CodecTruncationSweep,
                          ::testing::Values("deflate", "lzma-lite", "fast-lz",
                                            "tans", "null"),

@@ -131,6 +131,20 @@ TEST(ColumnarProjectionTest, QueriesMatchRowLayoutAcrossWorkerCounts) {
   TraceConfig config = SmallTrace();
   TraceGenerator gen(config);
   auto reference = IngestTrace(gen, LayoutOptions(LeafLayout::kRow, 1));
+  const Timestamp scan_begin = config.start + 2 * kEpochSeconds;
+  const Timestamp scan_end = config.start + 13 * kEpochSeconds;
+  auto scan_all = [&](SpateFramework& framework) {
+    std::vector<Snapshot> streamed;
+    EXPECT_TRUE(framework
+                    .ScanWindow(scan_begin, scan_end,
+                                [&](const Snapshot& snapshot) {
+                                  streamed.push_back(snapshot);
+                                })
+                    .ok());
+    return streamed;
+  };
+  const std::vector<Snapshot> reference_scan = scan_all(*reference);
+  ASSERT_EQ(reference_scan.size(), 11u);
 
   std::vector<ExplorationQuery> queries;
   for (const std::vector<std::string>& attrs :
@@ -143,8 +157,8 @@ TEST(ColumnarProjectionTest, QueriesMatchRowLayoutAcrossWorkerCounts) {
     for (const bool has_box : {false, true}) {
       ExplorationQuery query;
       query.attributes = attrs;
-      query.window_begin = config.start + 2 * kEpochSeconds;
-      query.window_end = config.start + 13 * kEpochSeconds;
+      query.window_begin = scan_begin;
+      query.window_end = scan_end;
       query.has_box = has_box;
       query.box = BoundingBox{0, 0, config.region_meters / 2,
                               config.region_meters / 2};
@@ -159,17 +173,41 @@ TEST(ColumnarProjectionTest, QueriesMatchRowLayoutAcrossWorkerCounts) {
   for (const Variant& variant :
        {Variant{LeafLayout::kRow, 4}, Variant{LeafLayout::kColumnar, 1},
         Variant{LeafLayout::kColumnar, 4}}) {
-    auto framework =
-        IngestTrace(gen, LayoutOptions(variant.layout, variant.workers));
+    const bool columnar = variant.layout == LeafLayout::kColumnar;
+    SpateOptions options = LayoutOptions(variant.layout, variant.workers);
+    if (columnar) options.fragment_cache_bytes = 64u << 20;
+    auto framework = IngestTrace(gen, std::move(options));
+    const std::string variant_label =
+        std::string(columnar ? "columnar" : "row") + ", workers " +
+        std::to_string(variant.workers);
+
+    // An unrestricted scan streams the row reference's snapshots, in
+    // order. Columnar variants scan twice: the first pass decodes every
+    // chunk from the DFS blobs, the second serves them from the cache.
+    for (int pass = 0; pass < (columnar ? 2 : 1); ++pass) {
+      const std::string label =
+          variant_label + ", scan pass " + std::to_string(pass);
+      const std::vector<Snapshot> streamed = scan_all(*framework);
+      ASSERT_EQ(streamed.size(), reference_scan.size()) << label;
+      for (size_t i = 0; i < streamed.size(); ++i) {
+        EXPECT_EQ(streamed[i].epoch_start, reference_scan[i].epoch_start)
+            << label;
+        EXPECT_EQ(streamed[i].cdr, reference_scan[i].cdr) << label;
+        EXPECT_EQ(streamed[i].nms, reference_scan[i].nms) << label;
+      }
+      if (columnar) {
+        EXPECT_EQ(framework->last_scan_stats().fragment_hits > 0, pass == 1)
+            << label;
+      }
+    }
+
     for (size_t q = 0; q < queries.size(); ++q) {
       auto expected = reference->Execute(queries[q]);
       auto actual = framework->Execute(queries[q]);
       ASSERT_TRUE(expected.ok());
       ASSERT_TRUE(actual.ok());
       const std::string label =
-          "query " + std::to_string(q) + ", layout " +
-          (variant.layout == LeafLayout::kColumnar ? "columnar" : "row") +
-          ", workers " + std::to_string(variant.workers);
+          "query " + std::to_string(q) + ", layout " + variant_label;
       ExpectSameResult(*expected, *actual, label);
       EXPECT_TRUE(expected->exact) << label;
     }

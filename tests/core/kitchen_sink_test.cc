@@ -8,11 +8,12 @@
 namespace spate {
 namespace {
 
-/// Every optional SPATE feature enabled at once — differential storage and
-/// aggressive two-stage decay — must still behave exactly like the plain
-/// framework on the data that remains at full resolution, and must survive
-/// a crash/recover cycle. This guards against cross-feature interactions
-/// (e.g. decay breaking a delta chain).
+/// Every optional SPATE feature enabled at once — columnar leaves, the
+/// fragment cache, the parallel pipeline and aggressive two-stage decay —
+/// must still behave exactly like an undecayed serial store on the data
+/// that remains at full resolution, and must survive a crash/recover
+/// cycle. This guards against cross-feature interactions (e.g. decay or
+/// recovery serving stale cached fragments).
 class KitchenSinkTest : public ::testing::Test {
  protected:
   static TraceConfig Config() {
@@ -26,10 +27,17 @@ class KitchenSinkTest : public ::testing::Test {
     return config;
   }
 
-  static SpateOptions Options() {
+  /// The reference store: same leaf layout, nothing else turned on.
+  static SpateOptions ReferenceOptions() {
     SpateOptions options;
-    options.differential = true;
-    options.keyframe_interval = 8;
+    options.leaf_layout = LeafLayout::kColumnar;
+    return options;
+  }
+
+  static SpateOptions Options() {
+    SpateOptions options = ReferenceOptions();
+    options.fragment_cache_bytes = 4u << 20;
+    options.parallelism.worker_count = 4;
     options.decay.full_resolution_seconds = 2 * 86400;
     options.decay.day_resolution_seconds = 3 * 86400;
     return options;
@@ -39,7 +47,7 @@ class KitchenSinkTest : public ::testing::Test {
 TEST_F(KitchenSinkTest, AllFeaturesComposeCorrectly) {
   const TraceConfig config = Config();
   TraceGenerator gen(config);
-  SpateFramework plain(SpateOptions{}, gen.cells());
+  SpateFramework plain(ReferenceOptions(), gen.cells());
   SpateFramework sink(Options(), gen.cells());
   for (Timestamp epoch : gen.EpochStarts()) {
     const Snapshot snapshot = gen.GenerateSnapshot(epoch);
@@ -50,7 +58,7 @@ TEST_F(KitchenSinkTest, AllFeaturesComposeCorrectly) {
   // Two-stage decay fired: day 0 pruned entirely, day 1 leaf-decayed.
   EXPECT_GE(sink.index().num_decayed(), static_cast<size_t>(kEpochsPerDay));
   EXPECT_GE(sink.index().num_pruned_days(), 1u);
-  // And the kitchen-sink instance still stores far less than raw text:
+  // And decay left the kitchen-sink instance smaller than the reference:
   EXPECT_LT(sink.StorageBytes(), plain.StorageBytes());
 
   // Full-resolution region: box query equals the plain framework's.
@@ -96,8 +104,7 @@ TEST_F(KitchenSinkTest, AllFeaturesComposeCorrectly) {
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(sorted(after->cdr_rows), sorted(expected->cdr_rows));
 
-  // And keeps ingesting (delta chain restarts cleanly after the gap-free
-  // recovery replay).
+  // And keeps ingesting after the recovery replay.
   const Timestamp next = config.start + 4 * 86400;
   ASSERT_TRUE(back.Ingest(gen.GenerateSnapshot(next)).ok());
   size_t rows = 0;

@@ -127,17 +127,6 @@ TEST(ParallelPipelineTest, IngestBytesBitIdenticalAcrossWorkerCounts) {
   }
 }
 
-TEST(ParallelPipelineTest, DifferentialIngestBitIdenticalAcrossWorkerCounts) {
-  TraceGenerator gen(PipelineTrace());
-  SpateOptions serial_options = PipelineOptions(1);
-  serial_options.differential = true;
-  SpateOptions parallel_options = PipelineOptions(4);
-  parallel_options.differential = true;
-  auto serial = IngestTrace(gen, serial_options);
-  auto parallel = IngestTrace(gen, parallel_options);
-  ExpectIdenticalStores(serial->dfs(), parallel->dfs());
-}
-
 TEST(ParallelPipelineTest, WindowedQueriesMatchSerial) {
   TraceConfig config = PipelineTrace();
   TraceGenerator gen(config);

@@ -96,41 +96,6 @@ TEST(RecoveryTest, DecayedDaysServeSummariesAfterRestart) {
   EXPECT_GT(result->summary.cdr_rows(), 0u);
 }
 
-TEST(RecoveryTest, DifferentialChainsReplay) {
-  TraceConfig config = RecoveryTrace();
-  config.days = 1;
-  TraceGenerator gen(config);
-  SpateOptions options;
-  options.differential = true;
-  options.keyframe_interval = 8;
-  auto original = std::make_unique<SpateFramework>(options, gen.cells());
-  for (Timestamp epoch : gen.EpochStarts()) {
-    ASSERT_TRUE(original->Ingest(gen.GenerateSnapshot(epoch)).ok());
-  }
-  auto dfs = original->shared_dfs();
-  original.reset();
-
-  auto recovered = SpateFramework::Recover(options, dfs);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  SpateFramework& spate = **recovered;
-  size_t deltas = 0;
-  for (const YearNode& year : spate.index().years()) {
-    for (const MonthNode& month : year.months) {
-      for (const DayNode& day : month.days) {
-        for (const LeafNode& leaf : day.leaves) deltas += leaf.delta;
-      }
-    }
-  }
-  EXPECT_GT(deltas, 20u);  // delta flags restored from the ".d" paths
-  // Mid-GOP access works after recovery.
-  const Timestamp target = config.start + 13 * kEpochSeconds;
-  size_t rows = 0;
-  ASSERT_TRUE(spate.ScanWindow(target, target + kEpochSeconds,
-                               [&](const Snapshot& s) { rows += s.size(); })
-                  .ok());
-  EXPECT_EQ(rows, gen.GenerateSnapshot(target).size());
-}
-
 TEST(RecoveryTest, RejectsEmptyDfs) {
   auto dfs = std::make_shared<DistributedFileSystem>();
   auto recovered = SpateFramework::Recover(SpateOptions{}, dfs);
@@ -149,9 +114,7 @@ void CorruptAllReplicas(DistributedFileSystem& dfs, const std::string& path) {
 }
 
 Timestamp EpochOfLeafPath(const std::string& path) {
-  std::string name = path.substr(path.rfind('/') + 1);
-  if (name.ends_with(".d")) name.resize(name.size() - 2);
-  return ParseCompact(name);
+  return ParseCompact(path.substr(path.rfind('/') + 1));
 }
 
 TEST(RecoveryTest, ToleratesLeafWithEveryReplicaCorrupt) {
@@ -293,57 +256,6 @@ TEST(RecoveryTest, DownedDatanodesDegradeThenReviveRestoresEverything) {
   EXPECT_EQ((*full)->index().num_leaves(),
             static_cast<size_t>(kEpochsPerDay));
   EXPECT_EQ((*full)->index().num_decayed(), 0u);
-}
-
-TEST(RecoveryTest, LostKeyframeStrandsItsDeltaChain) {
-  TraceConfig config = RecoveryTrace();
-  config.days = 1;
-  TraceGenerator gen(config);
-  SpateOptions options;
-  options.differential = true;
-  options.keyframe_interval = 8;
-  auto original = std::make_unique<SpateFramework>(options, gen.cells());
-  for (Timestamp epoch : gen.EpochStarts()) {
-    ASSERT_TRUE(original->Ingest(gen.GenerateSnapshot(epoch)).ok());
-  }
-  auto dfs = original->shared_dfs();
-  original.reset();
-
-  // Find a full (non-delta) blob directly followed by at least one delta,
-  // and lose every replica of it: the deltas behind it are stranded.
-  const std::vector<std::string> leaves = dfs->ListFiles("/spate/data/");
-  size_t keyframe = leaves.size();
-  size_t stranded = 0;
-  for (size_t i = 1; i + 1 < leaves.size(); ++i) {
-    if (!leaves[i].ends_with(".d") && leaves[i + 1].ends_with(".d")) {
-      keyframe = i;
-      while (i + 1 + stranded < leaves.size() &&
-             leaves[i + 1 + stranded].ends_with(".d")) {
-        ++stranded;
-      }
-      break;
-    }
-  }
-  ASSERT_LT(keyframe, leaves.size());
-  ASSERT_GT(stranded, 0u);
-  CorruptAllReplicas(*dfs, leaves[keyframe]);
-
-  auto recovered = SpateFramework::Recover(options, dfs);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  const RecoveryReport& report = (*recovered)->recovery_report();
-  EXPECT_EQ(report.leaves_skipped, 1u + stranded);
-  EXPECT_EQ((*recovered)->index().num_decayed(), 1u + stranded);
-  EXPECT_EQ((*recovered)->index().num_leaves(),
-            static_cast<size_t>(kEpochsPerDay));
-
-  // Leaves after the next keyframe still materialize.
-  const Timestamp last = config.start + (kEpochsPerDay - 1) * kEpochSeconds;
-  size_t rows = 0;
-  ASSERT_TRUE((*recovered)
-                  ->ScanWindow(last, last + kEpochSeconds,
-                               [&](const Snapshot& s) { rows += s.size(); })
-                  .ok());
-  EXPECT_EQ(rows, gen.GenerateSnapshot(last).size());
 }
 
 TEST(RecoveryTest, RoundTripsTwice) {

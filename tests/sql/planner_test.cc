@@ -84,11 +84,9 @@ Snapshot Epoch(int i) {
   return snap;
 }
 
-std::unique_ptr<SpateFramework> MakeStore(LeafLayout layout,
-                                          bool differential = false) {
+std::unique_ptr<SpateFramework> MakeStore(LeafLayout layout) {
   SpateOptions options;
   options.leaf_layout = layout;
-  options.differential = differential;
   auto store = std::make_unique<SpateFramework>(options, CellRows());
   for (int i = 0; i < kEpochs; ++i) {
     Status st = store->Ingest(Epoch(i));
@@ -113,8 +111,8 @@ SpateFramework* SqlPlannerTest::col_ = nullptr;
 
 // Plans `sql`, checks the chosen access path, then checks the planner's
 // core invariants: the planned result is bit-identical to the naive
-// full-scan executor, and EXPLAIN's predicted decode is exact (serial
-// non-differential stores) and in any case within the documented 2x bound.
+// full-scan executor, and EXPLAIN's predicted decode is exact, hence also
+// within the documented 2x bound.
 void RunCase(SpateFramework& store, const std::string& sql,
              PlanScanKind want, QueryPlan* plan_out = nullptr) {
   SCOPED_TRACE(sql);
@@ -330,25 +328,6 @@ TEST_F(SqlPlannerTest, DecayedWindowFallsBackFromSummariesToScan) {
   auto naive = ExecuteSql(*store, *parsed);
   auto planned = ExecutePlan(*store, *plan);
   ASSERT_TRUE(naive.ok() && planned.ok());
-  EXPECT_EQ(naive->rows, planned->rows);
-}
-
-TEST_F(SqlPlannerTest, DifferentialPredictionIsAFloor) {
-  auto store = MakeStore(LeafLayout::kRow, /*differential=*/true);
-  const std::string sql =
-      std::string("SELECT caller_id, duration FROM CDR WHERE ") + kWindow;
-  auto parsed = ParseSql(sql);
-  ASSERT_TRUE(parsed.ok());
-  auto plan = PlanSelect(*store, *parsed);
-  ASSERT_TRUE(plan.ok());
-  uint64_t actual = 0;
-  auto planned = ExecutePlan(*store, *plan, nullptr, &actual);
-  ASSERT_TRUE(planned.ok());
-  // Delta leaves materialize their chain, so the prediction undercounts —
-  // documented as a floor, never an overcount.
-  EXPECT_LE(plan->predicted_bytes, actual);
-  auto naive = ExecuteSql(*store, *parsed);
-  ASSERT_TRUE(naive.ok());
   EXPECT_EQ(naive->rows, planned->rows);
 }
 

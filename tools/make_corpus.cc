@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
   const std::string medium = SampleText(400);
 
   // envelope/: one valid envelope per codec per sample, plus an empty-input
-  // envelope (headers-only edge) and a dictionary-shaped seed.
+  // envelope (headers-only edge).
   for (std::string_view name : CodecRegistry::Names()) {
     const Codec* codec = CodecRegistry::Get(name);
     for (const auto& [tag, text] :
@@ -104,17 +104,6 @@ int main(int argc, char** argv) {
     if (codec->Compress("", &empty_blob).ok()) {
       ok = ok && WriteSeed(out_root / "envelope",
                            std::string(name) + "_empty", empty_blob);
-    }
-    if (codec->SupportsDictionary()) {
-      // fuzz_envelope splits its input in half (dictionary | blob): seed
-      // with that very layout so the dictionary path is reached at once.
-      std::string delta;
-      if (codec->CompressWithDictionary(medium, small, &delta).ok()) {
-        std::string seed = medium.substr(0, delta.size());
-        seed += delta;
-        ok = ok && WriteSeed(out_root / "envelope",
-                             std::string(name) + "_dict", seed);
-      }
     }
   }
 
