@@ -64,6 +64,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -546,9 +547,12 @@ int main(int argc, char** argv) {
   fprintf(stderr, "done. Storage: %s. Type 'help'.\n",
           HumanBytes(spate.StorageBytes()).c_str());
 
-  CachedExplorer explorer(&spate);
-  // Session cache for SQL: planned statements probe it (`CacheServe`) and
-  // completed scans feed it, so a repeated statement decodes nothing.
+  // Session caches (the UI cache, paper Section VI-A): `explore` answers
+  // repeated or narrower windows from exact results it already holds, and
+  // planned SQL statements probe theirs (`CacheServe`) while completed
+  // scans feed it, so a repeated statement decodes nothing. `decay` hands
+  // both the new decay horizon, which drops the entries it invalidated.
+  ResultCache explore_cache;
   ResultCache sql_cache;
   std::string line;
   while (true) {
@@ -683,7 +687,15 @@ int main(int argc, char** argv) {
                command.c_str());
         continue;
       }
-      auto result = explorer.Execute(query);
+      std::optional<QueryResult> cached =
+          explore_cache.Lookup(query, spate.cells());
+      Result<QueryResult> result =
+          cached.has_value() ? Result<QueryResult>(*std::move(cached))
+                             : spate.Execute(query);
+      if (!cached.has_value() && result.ok() && result->exact) {
+        explore_cache.Insert(query, *result,
+                             spate.last_scan_stats().bytes_decoded);
+      }
       if (!result.ok()) {
         printf("error: %s\n", result.status().ToString().c_str());
         continue;
@@ -694,8 +706,8 @@ int main(int argc, char** argv) {
                result->exact ? "yes" : "no",
                std::string(IndexLevelName(result->served_from)).c_str(),
                result->cdr_rows.size(), result->nms_rows.size(),
-               static_cast<unsigned long long>(explorer.cache().hits()),
-               static_cast<unsigned long long>(explorer.cache().misses()));
+               static_cast<unsigned long long>(explore_cache.hits()),
+               static_cast<unsigned long long>(explore_cache.misses()));
         printf("calls=%llu nms_reports=%llu drop_calls=%.0f\n",
                static_cast<unsigned long long>(result->summary.cdr_rows()),
                static_cast<unsigned long long>(result->summary.nms_rows()),
@@ -721,7 +733,7 @@ int main(int argc, char** argv) {
       printf("index: %zu leaves (%zu decayed), newest epoch %s\n",
              spate.index().num_leaves(), spate.index().num_decayed(),
              FormatIso(spate.index().newest_epoch()).c_str());
-      const ResultCache::CacheStats cache_stats = explorer.cache().stats();
+      const ResultCache::CacheStats cache_stats = explore_cache.stats();
       printf("cache: %llu hits / %llu misses, %s of decode work saved\n",
              static_cast<unsigned long long>(cache_stats.hits),
              static_cast<unsigned long long>(cache_stats.misses),
@@ -742,6 +754,8 @@ int main(int argc, char** argv) {
       policy.full_resolution_seconds = days * 86400;
       const Timestamp now = spate.index().newest_epoch() + kEpochSeconds;
       const size_t evicted = spate.RunDecay(policy, now);
+      explore_cache.SetDecayedUntil(spate.index().decayed_until());
+      sql_cache.SetDecayedUntil(spate.index().decayed_until());
       printf("evicted %zu leaves; storage now %s\n", evicted,
              HumanBytes(spate.StorageBytes()).c_str());
       continue;

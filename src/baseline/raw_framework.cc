@@ -29,20 +29,27 @@ Status RawFramework::Ingest(const Snapshot& snapshot) {
   return Status::OK();
 }
 
-Status RawFramework::ScanWindow(
-    Timestamp begin, Timestamp end,
-    const std::function<void(const Snapshot&)>& fn) {
+// The context goes unused: RAW polls no token and has no degraded reads —
+// it fails or finishes, which is itself a measured difference.
+Status RawFramework::Scan(const ExplorationQuery& query,
+                          QueryContext* /*ctx*/,
+                          const std::function<void(const Snapshot&)>& fn) {
+  const ScanRestriction restriction = ResolveScanRestriction(query, cells_);
   // No index: list the whole dataset and scan every file, filtering after
   // the parse (the "default solution" cost profile).
   for (const std::string& path : dfs_.ListFiles("/raw/data/")) {
     SPATE_ASSIGN_OR_RETURN(std::string text, dfs_.ReadFile(path));
     Snapshot snapshot;
     SPATE_RETURN_IF_ERROR(ParseSnapshot(text, &snapshot));
-    if (snapshot.epoch_start + kEpochSeconds <= begin ||
-        snapshot.epoch_start >= end) {
+    if (snapshot.epoch_start + kEpochSeconds <= query.window_begin ||
+        snapshot.epoch_start >= query.window_end) {
       continue;
     }
-    fn(snapshot);
+    if (restriction.restricted()) {
+      fn(restriction.Apply(snapshot));
+    } else {
+      fn(snapshot);
+    }
   }
   return Status::OK();
 }

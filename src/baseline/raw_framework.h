@@ -22,9 +22,8 @@ class RawFramework : public Framework {
     return last_ingest_;
   }
   Result<QueryResult> Execute(const ExplorationQuery& query) override;
-  Status ScanWindow(
-      Timestamp begin, Timestamp end,
-      const std::function<void(const Snapshot&)>& fn) override;
+  Status Scan(const ExplorationQuery& query, QueryContext* ctx,
+              const std::function<void(const Snapshot&)>& fn) override;
   Result<NodeSummary> AggregateWindow(Timestamp begin,
                                       Timestamp end) override;
   uint64_t StorageBytes() const override;

@@ -38,14 +38,21 @@ Status ShahedFramework::Ingest(const Snapshot& snapshot) {
   return add;
 }
 
-Status ShahedFramework::ScanWindow(
-    Timestamp begin, Timestamp end,
-    const std::function<void(const Snapshot&)>& fn) {
-  for (const LeafNode* leaf : index_.LeavesInWindow(begin, end)) {
+// Like RAW, SHAHED polls no token and has no degraded reads.
+Status ShahedFramework::Scan(const ExplorationQuery& query,
+                             QueryContext* /*ctx*/,
+                             const std::function<void(const Snapshot&)>& fn) {
+  const ScanRestriction restriction = ResolveScanRestriction(query, cells_);
+  for (const LeafNode* leaf :
+       index_.LeavesInWindow(query.window_begin, query.window_end)) {
     SPATE_ASSIGN_OR_RETURN(std::string text, dfs_.ReadFile(leaf->dfs_path));
     Snapshot snapshot;
     SPATE_RETURN_IF_ERROR(ParseSnapshot(text, &snapshot));
-    fn(snapshot);
+    if (restriction.restricted()) {
+      fn(restriction.Apply(snapshot));
+    } else {
+      fn(snapshot);
+    }
   }
   return Status::OK();
 }

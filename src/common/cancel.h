@@ -20,8 +20,8 @@ inline double SteadySeconds() {
 }
 
 /// Cooperative cancellation + deadline token, threaded from the serving
-/// front-end down into the leaf decode loops of `ScanWindow`/`Execute`
-/// (see `Framework::SetCancelToken`).
+/// front-end down into the leaf decode loops of `Framework::Scan` (it
+/// travels in the scan's `QueryContext`).
 ///
 /// A token expires when either (a) `Cancel()` was called — the gather gave
 /// up on this request, the client disconnected — or (b) its deadline on the

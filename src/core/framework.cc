@@ -104,32 +104,39 @@ Snapshot RestrictSnapshot(
   return restricted;
 }
 
+ScanRestriction ResolveScanRestriction(const ExplorationQuery& query,
+                                       const CellDirectory& cells) {
+  const TableProjection kSkip{/*all=*/false, /*skip=*/true, {}};
+  ScanRestriction r;
+  r.cdr = query.want_cdr ? ScanProjection(CdrSchema(), query.attributes,
+                                          kCdrTs, kCdrCellId)
+                         : kSkip;
+  r.nms = query.want_nms ? ScanProjection(NmsSchema(), query.attributes,
+                                          kNmsTs, kNmsCellId)
+                         : kSkip;
+  r.has_box = query.has_box;
+  if (query.has_box) {
+    const std::vector<std::string> in_box = cells.CellsInBox(query.box);
+    r.cells.insert(in_box.begin(), in_box.end());
+  }
+  return r;
+}
+
+Status Framework::ScanWindow(Timestamp begin, Timestamp end,
+                             const std::function<void(const Snapshot&)>& fn) {
+  ExplorationQuery everything;
+  everything.window_begin = begin;
+  everything.window_end = end;
+  return ScanWindowProjected(everything, fn);
+}
+
 Status Framework::ScanWindowProjected(
     const ExplorationQuery& query,
     const std::function<void(const Snapshot&)>& fn) {
-  TableProjection cdr =
-      ScanProjection(CdrSchema(), query.attributes, kCdrTs, kCdrCellId);
-  TableProjection nms =
-      ScanProjection(NmsSchema(), query.attributes, kNmsTs, kNmsCellId);
-  if (!query.want_cdr) cdr = TableProjection{/*all=*/false, /*skip=*/true, {}};
-  if (!query.want_nms) nms = TableProjection{/*all=*/false, /*skip=*/true, {}};
-  if (cdr.all && nms.all && !query.has_box) {
-    // Nothing to restrict: stream the snapshots untouched (bit-identical
-    // to ScanWindow, no copies).
-    return ScanWindow(query.window_begin, query.window_end, fn);
-  }
-  std::unordered_set<std::string> wanted;
-  if (query.has_box) {
-    for (const std::string& cell_id : cells().CellsInBox(query.box)) {
-      wanted.insert(cell_id);
-    }
-  }
-  const std::unordered_set<std::string>* wanted_cells =
-      query.has_box ? &wanted : nullptr;
-  return ScanWindow(query.window_begin, query.window_end,
-                    [&](const Snapshot& snapshot) {
-                      fn(RestrictSnapshot(snapshot, cdr, nms, wanted_cells));
-                    });
+  QueryContext ctx;
+  const Status status = Scan(query, &ctx, fn);
+  last_scan_ = std::move(ctx.stats);
+  return status;
 }
 
 void FilterSnapshotRows(const Snapshot& snapshot,

@@ -58,9 +58,9 @@ struct QueryResult {
   std::vector<Timestamp> skipped_epochs;
 };
 
-/// Outcome of the most recent `ScanWindow` on frameworks that support
-/// degraded reads: how many leaves were streamed and which in-window epochs
-/// were skipped because no replica of their data could be read.
+/// Outcome of one scan on frameworks that support degraded reads: how many
+/// leaves were streamed and which in-window epochs were skipped because no
+/// replica of their data could be read.
 struct ScanStats {
   size_t leaves_scanned = 0;
   std::vector<Timestamp> skipped_epochs;
@@ -81,6 +81,17 @@ struct ScanStats {
   uint64_t bytes_decoded_saved = 0;
 
   bool complete() const { return skipped_epochs.empty(); }
+};
+
+/// Per-call state of one read, owned by the caller and passed down the scan
+/// path, so the framework keeps none: reads with distinct contexts share a
+/// framework safely.
+struct QueryContext {
+  /// Polled between leaf decodes; an expired token unwinds the scan with
+  /// `kDeadlineExceeded` (never mid-leaf). Not owned; null never cancels.
+  const CancelToken* cancel = nullptr;
+  /// What the scan did; `Scan` adds to it.
+  ScanStats stats;
 };
 
 /// One in-window leaf as the SQL planner sees it: enough to predict the
@@ -165,13 +176,38 @@ Record ProjectRecord(const Record& row, const TableProjection& projection);
 /// Restricts a snapshot for a projected scan: drops rows of skipped tables
 /// and (when `wanted_cells` is non-null) rows whose cell id is not in the
 /// set, preserving row order; surviving rows are projected. This is the
-/// reference semantics every `ScanWindowProjected` implementation must
-/// match byte for byte — the columnar leaf reader produces the same
-/// snapshot without ever materializing the dropped columns.
+/// reference semantics every `Framework::Scan` must match byte for byte —
+/// the columnar leaf reader produces the same snapshot without ever
+/// materializing the dropped columns.
 Snapshot RestrictSnapshot(const Snapshot& snapshot,
                           const TableProjection& cdr,
                           const TableProjection& nms,
                           const std::unordered_set<std::string>* wanted_cells);
+
+/// What a scan of one query materializes, derived once for every
+/// framework: the per-table scan projections (ts and cell id always kept,
+/// masked-off tables skipped) and, with a box, the cells inside it.
+struct ScanRestriction {
+  TableProjection cdr;
+  TableProjection nms;
+  bool has_box = false;
+  std::unordered_set<std::string> cells;  // only meaningful with a box
+
+  /// The cell filter of `RestrictSnapshot` (null without a box).
+  const std::unordered_set<std::string>* wanted_cells() const {
+    return has_box ? &cells : nullptr;
+  }
+  /// False when the scan streams every snapshot untouched.
+  bool restricted() const { return !cdr.all || !nms.all || has_box; }
+  /// `RestrictSnapshot` under this restriction.
+  Snapshot Apply(const Snapshot& snapshot) const {
+    return RestrictSnapshot(snapshot, cdr, nms, wanted_cells());
+  }
+};
+
+/// `query`'s restriction; its box resolves to cells through `cells`.
+ScanRestriction ResolveScanRestriction(const ExplorationQuery& query,
+                                       const CellDirectory& cells);
 
 /// Common surface of the three compared frameworks (RAW / SHAHED / SPATE),
 /// so every task and benchmark runs unchanged against each.
@@ -187,36 +223,38 @@ class Framework {
   /// Cost breakdown of the most recent `Ingest`.
   virtual const IngestStats& last_ingest_stats() const = 0;
 
-  /// Evaluates a data exploration query.
+  /// Evaluates a data exploration query; when it scans, the scan's stats
+  /// are what `last_scan_stats()` reports next.
   virtual Result<QueryResult> Execute(const ExplorationQuery& query) = 0;
 
-  /// Streams every stored snapshot intersecting [begin, end) through `fn`,
-  /// in time order (decompressing as needed). The workhorse of the task
-  /// suite (T1-T8) and the SQL layer. Frameworks with degraded-read support
-  /// skip unreadable leaves and report them in `last_scan_stats()`.
-  virtual Status ScanWindow(
-      Timestamp begin, Timestamp end,
-      const std::function<void(const Snapshot&)>& fn) = 0;
+  /// The one scan: streams every stored snapshot intersecting the query
+  /// window through `fn`, in time order (decompressing as needed),
+  /// restricted to the query's attribute selection, fact tables and box
+  /// (`ScanRestriction` / `RestrictSnapshot` semantics — same-width rows
+  /// with non-selected fields empty, skipped tables contributing no rows;
+  /// an unrestricted query streams snapshots untouched). The workhorse of
+  /// the task suite (T1-T8), the SQL layer and `Execute`. Per-call state
+  /// lives in `ctx` alone. SPATE polls `ctx->cancel`, skips unreadable
+  /// leaves into `ctx->stats` (degraded reads), decodes only the needed
+  /// column chunks of columnar leaves and skips leaves provably disjoint
+  /// from the box (`fn` is then not called for them — restriction would
+  /// have emptied them). The baselines restrict in memory, ignore the
+  /// token and leave the stats empty — they fail or finish.
+  virtual Status Scan(const ExplorationQuery& query, QueryContext* ctx,
+                      const std::function<void(const Snapshot&)>& fn) = 0;
 
-  /// Projection-pushdown variant of `ScanWindow`: streams every in-window
-  /// snapshot restricted to the query's attribute selection and bounding
-  /// box (`RestrictSnapshot` semantics — same-width rows with non-selected
-  /// fields empty, skipped tables contributing no rows). The default
-  /// implementation decodes fully and restricts in memory; SPATE's
-  /// columnar leaf layout overrides it to decode only the needed column
-  /// chunks and to skip leaves provably disjoint from the box (for which
-  /// `fn` is then not called at all — restriction would have emptied them).
-  virtual Status ScanWindowProjected(
-      const ExplorationQuery& query,
-      const std::function<void(const Snapshot&)>& fn);
+  /// `Scan` of [begin, end) with no restriction.
+  Status ScanWindow(Timestamp begin, Timestamp end,
+                    const std::function<void(const Snapshot&)>& fn);
 
-  /// Skip accounting of the most recent `ScanWindow`. The default (used by
-  /// the baselines, which fail hard instead of degrading) reports an empty,
-  /// complete scan.
-  virtual const ScanStats& last_scan_stats() const {
-    static const ScanStats kEmpty;
-    return kEmpty;
-  }
+  /// `Scan` with a fresh context whose stats `last_scan_stats()` then
+  /// reports.
+  Status ScanWindowProjected(const ExplorationQuery& query,
+                             const std::function<void(const Snapshot&)>& fn);
+
+  /// Stats of the most recent `ScanWindow`/`ScanWindowProjected`/`Execute`
+  /// scan. Unlike `Scan`, those writers are externally synchronized.
+  const ScanStats& last_scan_stats() const { return last_scan_; }
 
   /// Aggregate summary of [begin, end): index-backed frameworks merge
   /// materialized node summaries; RAW scans and re-aggregates.
@@ -226,8 +264,8 @@ class Framework {
   /// Plan-visible statistics of [begin, end) for the cost-based SQL
   /// planner: per-leaf layout, decode costs and spatial summaries. The
   /// default (baselines) reports `available == false`; SPATE overrides it
-  /// from the temporal index. Same external-synchronization contract as
-  /// `ScanWindow` — the returned pointers are valid until the next mutator.
+  /// from the temporal index. Safe alongside `Scan`s; the returned
+  /// pointers are valid until the next mutator.
   virtual PlannerStatistics CollectPlannerStatistics(Timestamp begin,
                                                      Timestamp end) const {
     (void)begin;
@@ -248,14 +286,8 @@ class Framework {
   /// The raw CELL table rows (for SQL over the CELL table).
   virtual const std::vector<Record>& cell_rows() const = 0;
 
-  /// Installs a cooperative cancellation/deadline token that subsequent
-  /// `Execute`/`ScanWindow` calls poll between leaf decodes, unwinding with
-  /// `kDeadlineExceeded` when it expires (never mid-leaf, so observed state
-  /// stays consistent). `nullptr` detaches. The token must outlive every
-  /// call made while installed; like the rest of the surface this setter is
-  /// externally synchronized with those calls. The baselines ignore it —
-  /// they fail or finish, which is itself a measured difference.
-  virtual void SetCancelToken(const CancelToken* token) { (void)token; }
+ private:
+  ScanStats last_scan_;
 };
 
 /// Filters `snapshot` rows to those inside the window and (optionally) the

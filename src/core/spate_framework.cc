@@ -63,7 +63,6 @@ SpateFramework::SpateFramework(SpateOptions options,
   if (options_.parallelism.worker_count > 1) {
     pool_ = std::make_unique<ThreadPool>(
         static_cast<size_t>(options_.parallelism.worker_count));
-    decode_ctx_.decode_pool = pool_.get();
   }
   if (options_.fragment_cache_bytes > 0) {
     // A recovered framework starts with a fresh (empty, generation-0)
@@ -71,7 +70,6 @@ SpateFramework::SpateFramework(SpateOptions options,
     // paths come through here.
     fragment_cache_ =
         std::make_unique<FragmentCache>(options_.fragment_cache_bytes);
-    decode_ctx_.fragment_cache = fragment_cache_.get();
   }
   if (write_meta) {
     // Persist the static cell inventory alongside the data.
@@ -316,9 +314,9 @@ Status SpateFramework::Ingest(const Snapshot& snapshot) {
 }
 
 Status SpateFramework::DecodeLeafWith(const LeafNode& leaf,
-                                      const LeafScanOptions& opts,
-                                      DecodeContext* ctx,
-                                      Snapshot* snapshot) const {
+                                      const ScanRestriction& restriction,
+                                      const DecodeContext& ctx,
+                                      DecodedLeaf* out) const {
   if (leaf.decayed) {
     return Status::NotFound("leaf decayed: " + leaf.dfs_path);
   }
@@ -327,11 +325,11 @@ Status SpateFramework::DecodeLeafWith(const LeafNode& leaf,
   // decoded bytes. Columnar leaves cache per chunk instead — their "@row"
   // probe always misses.
   std::string text;
-  if (ctx->fragment_cache != nullptr &&
-      ctx->fragment_cache->Lookup(leaf.epoch_start, kRowFragmentName,
-                                  ctx->fragment_generation, &text)) {
-    ++ctx->fragment_hits;
-    ctx->fragment_bytes_saved += text.size();
+  if (ctx.fragment_cache != nullptr &&
+      ctx.fragment_cache->Lookup(leaf.epoch_start, kRowFragmentName,
+                                 ctx.fragment_generation, &text)) {
+    ++out->fragment_hits;
+    out->fragment_bytes_saved += text.size();
   } else {
     SPATE_ASSIGN_OR_RETURN(std::string blob, dfs_->ReadFile(leaf.dfs_path));
     if (IsColumnarBlob(blob)) {
@@ -339,31 +337,31 @@ Status SpateFramework::DecodeLeafWith(const LeafNode& leaf,
       // call for (every chunk for an unrestricted scan), and with a cell
       // restriction only the matching rows, straight into the snapshot.
       // The fragment scope serves/admits individual chunk plaintexts.
-      FragmentCacheScope fragments{ctx->fragment_cache, leaf.epoch_start,
-                                   ctx->fragment_generation, 0, 0};
-      const Status status =
-          DecodeColumnarLeaf(blob, opts.cdr, opts.nms, opts.wanted_cells,
-                             snapshot, &ctx->bytes_decoded, &fragments);
-      ctx->fragment_hits += fragments.hits;
-      ctx->fragment_bytes_saved += fragments.bytes_saved;
+      FragmentCacheScope fragments{ctx.fragment_cache, leaf.epoch_start,
+                                   ctx.fragment_generation, 0, 0};
+      const Status status = DecodeColumnarLeaf(
+          blob, restriction.cdr, restriction.nms, restriction.wanted_cells(),
+          &out->snapshot, &out->bytes_decoded, &fragments);
+      out->fragment_hits += fragments.hits;
+      out->fragment_bytes_saved += fragments.bytes_saved;
       return status;
     }
     // Row leaf (plain or chunked blob); chunk parts may decode on the pool,
     // unless this context belongs to a scan worker that is itself one arm
     // of a fan-out (then decode_pool is null — no nested fan-out).
-    SPATE_RETURN_IF_ERROR(ChunkedDecompress(blob, ctx->decode_pool, &text));
-    ctx->bytes_decoded += text.size();
-    if (ctx->fragment_cache != nullptr) {
-      ctx->fragment_cache->Insert(leaf.epoch_start, kRowFragmentName,
-                                  ctx->fragment_generation, text);
+    SPATE_RETURN_IF_ERROR(ChunkedDecompress(blob, ctx.decode_pool, &text));
+    out->bytes_decoded += text.size();
+    if (ctx.fragment_cache != nullptr) {
+      ctx.fragment_cache->Insert(leaf.epoch_start, kRowFragmentName,
+                                 ctx.fragment_generation, text);
     }
   }
-  if (!opts.restricted()) return ParseSnapshot(text, snapshot);
+  if (!restriction.restricted()) return ParseSnapshot(text, &out->snapshot);
   // Row leaf under a projection or box: full parse, then restrict in
   // memory — the reference semantics the columnar reader matches.
   Snapshot full;
   SPATE_RETURN_IF_ERROR(ParseSnapshot(text, &full));
-  *snapshot = RestrictSnapshot(full, opts.cdr, opts.nms, opts.wanted_cells);
+  out->snapshot = restriction.Apply(full);
   return Status::OK();
 }
 
@@ -395,8 +393,6 @@ Result<QueryResult> SpateFramework::Execute(const ExplorationQuery& query) {
   if (query.window_begin >= query.window_end) {
     return Status::InvalidArgument("query window is empty");
   }
-  // A request that arrives already expired must not touch storage at all.
-  if (cancel_ != nullptr) SPATE_RETURN_IF_ERROR(cancel_->Check());
   // Decayed window: no scan can add rows; the covering highlights answer.
   if (!index_.WindowFullyResolved(query.window_begin, query.window_end)) {
     return BuildAnswer(query, std::nullopt);
@@ -412,7 +408,7 @@ Result<QueryResult> SpateFramework::Execute(const ExplorationQuery& query) {
         FilterSnapshotRows(snapshot, query, cells_, &scan.cdr_rows,
                            &scan.nms_rows);
       }));
-  scan.skipped_epochs = last_scan_.skipped_epochs;
+  scan.skipped_epochs = last_scan_stats().skipped_epochs;
   return BuildAnswer(query, std::move(scan));
 }
 
@@ -446,170 +442,109 @@ QueryResult SpateFramework::BuildAnswer(
 }
 
 Status SpateFramework::ScanLeaves(
-    const std::vector<const LeafNode*>& leaves, const LeafScanOptions& opts,
-    const std::function<void(const Snapshot&)>& fn) {
+    const std::vector<const LeafNode*>& leaves,
+    const ScanRestriction& restriction, QueryContext* ctx,
+    const std::function<void(const Snapshot&)>& fn) const {
+  ScanStats& stats = ctx->stats;
+  const CancelToken* const cancel = ctx->cancel;
   // Spatial leaf skipping: drop leaves whose summary proves them disjoint
   // from the wanted cells before any DFS read or decompression. The filter
   // runs up front on the calling thread, so the surviving scan — batching,
   // fold order, stats — is identical at every worker count.
-  // Capture the store generation once per scan: no mutator can run during
-  // a scan (externally synchronized surface), so every probe of this scan
-  // keys against one consistent store state.
-  const uint64_t fragment_generation =
-      fragment_cache_ != nullptr ? fragment_cache_->generation() : 0;
-  decode_ctx_.fragment_generation = fragment_generation;
-  std::vector<const LeafNode*> surviving;
-  if (opts.skip_leaves && opts.wanted_cells != nullptr) {
-    surviving.reserve(leaves.size());
-    for (const LeafNode* leaf : leaves) {
-      if (LeafIntersectsCells(*leaf, *opts.wanted_cells)) {
-        surviving.push_back(leaf);
-      } else {
-        ++last_scan_.leaves_skipped_spatial;
-      }
+  std::vector<const LeafNode*> scan_leaves;
+  scan_leaves.reserve(leaves.size());
+  for (const LeafNode* leaf : leaves) {
+    if (restriction.has_box && options_.spatial_leaf_skip &&
+        !LeafIntersectsCells(*leaf, restriction.cells)) {
+      ++stats.leaves_skipped_spatial;
+    } else {
+      scan_leaves.push_back(leaf);
     }
   }
-  const std::vector<const LeafNode*>& scan_leaves =
-      (opts.skip_leaves && opts.wanted_cells != nullptr) ? surviving : leaves;
   // Folds one leaf's outcome into the scan, in timestamp order, on the
   // calling thread. A degradable failure — every replica of the leaf
-  // unreadable — skips the epoch and records it instead of
-  // failing the whole scan; callers consult `last_scan_stats()`.
+  // unreadable — skips the epoch and records it instead of failing the
+  // whole scan.
 #ifndef NDEBUG
   // Fold-order hook: the serial fold must visit leaves in strictly
   // increasing epoch order regardless of how the decode fan-out scheduled
-  // them — `last_scan_` folding and every caller depend on it.
+  // them — the stats fold and every caller depend on it.
   Timestamp debug_last_folded = -1;
 #endif
-  auto fold = [&](const LeafNode& leaf, const Status& status,
-                  const Snapshot& snapshot) -> Status {
+  auto fold = [&](const LeafNode& leaf, const DecodedLeaf& decoded) {
 #ifndef NDEBUG
     SPATE_DCHECK_GT(leaf.epoch_start, debug_last_folded);
     debug_last_folded = leaf.epoch_start;
 #endif
-    if (!status.ok()) {
-      if (options_.degraded_reads && DegradableFailure(status)) {
-        last_scan_.skipped_epochs.push_back(leaf.epoch_start);
+    stats.bytes_decoded += decoded.bytes_decoded;
+    stats.fragment_hits += decoded.fragment_hits;
+    stats.bytes_decoded_saved += decoded.fragment_bytes_saved;
+    if (!decoded.status.ok()) {
+      if (options_.degraded_reads && DegradableFailure(decoded.status)) {
+        stats.skipped_epochs.push_back(leaf.epoch_start);
         return Status::OK();
       }
-      return status;
+      return decoded.status;
     }
-    fn(snapshot);
-    ++last_scan_.leaves_scanned;
+    fn(decoded.snapshot);
+    ++stats.leaves_scanned;
     return Status::OK();
   };
 
+  // Decode in batches, then fold each batch serially in timestamp order.
+  // Serially a batch is one leaf, whose chunk parts may fan out on the
+  // pool. A scan over enough leaves instead decodes `worker_count * 4`
+  // at a time (capping the simultaneously materialized snapshots) across
+  // the pool: workers take contiguous leaf ranges with no nested fan-out,
+  // and stats are only touched in the fold — no hot-path atomics, and the
+  // fold order (hence the stats) is identical to the serial path's. The
+  // store generation is captured once: no mutator runs during a scan.
   const bool parallel =
       pool_ != nullptr && scan_leaves.size() >= kMinParallelLeaves;
-  if (!parallel) {
-    for (const LeafNode* leaf : scan_leaves) {
-      // Cancellation check between leaf decodes: an expired token unwinds
-      // here with kDeadlineExceeded — not a degradable failure, so the scan
-      // aborts instead of marking the rest of the window skipped.
-      if (cancel_ != nullptr) SPATE_RETURN_IF_ERROR(cancel_->Check());
-      Snapshot snapshot;
-      const uint64_t bytes_before = decode_ctx_.bytes_decoded;
-      const uint64_t hits_before = decode_ctx_.fragment_hits;
-      const uint64_t saved_before = decode_ctx_.fragment_bytes_saved;
-      const Status status =
-          DecodeLeafWith(*leaf, opts, &decode_ctx_, &snapshot);
-      last_scan_.bytes_decoded +=
-          decode_ctx_.bytes_decoded - bytes_before;
-      last_scan_.fragment_hits +=
-          decode_ctx_.fragment_hits - hits_before;
-      last_scan_.bytes_decoded_saved +=
-          decode_ctx_.fragment_bytes_saved - saved_before;
-      SPATE_RETURN_IF_ERROR(fold(*leaf, status, snapshot));
-    }
-    return Status::OK();
-  }
-
-  // Scan fan-out: decode leaves concurrently in bounded batches (capping
-  // the number of simultaneously materialized snapshots), then fold each
-  // batch serially in timestamp order. Workers take contiguous leaf ranges
-  // with a private decode context; stats are only touched in the serial
-  // fold — no hot-path atomics, and the fold order (hence `last_scan_`) is
-  // identical to the serial path's.
-  struct Slot {
-    Status status;
-    Snapshot snapshot;
-    uint64_t bytes = 0;
-    uint64_t fragment_hits = 0;
-    uint64_t fragment_saved = 0;
-  };
   const size_t batch =
-      static_cast<size_t>(options_.parallelism.worker_count) * 4;
+      parallel ? static_cast<size_t>(options_.parallelism.worker_count) * 4
+               : 1;
+  const DecodeContext decode{parallel ? nullptr : pool_.get(),
+                             fragment_cache_.get(),
+                             fragment_cache_ != nullptr
+                                 ? fragment_cache_->generation()
+                                 : 0};
   for (size_t base = 0; base < scan_leaves.size(); base += batch) {
-    // Between-batch cancellation check on the calling thread; workers also
-    // poll per leaf below, so a mid-batch expiry stops further decodes and
-    // surfaces through the serial fold as kDeadlineExceeded (which is not
-    // degradable — the scan aborts rather than degrade).
-    if (cancel_ != nullptr) SPATE_RETURN_IF_ERROR(cancel_->Check());
+    // Cancellation between batches on the calling thread; workers also poll
+    // per leaf, so a mid-batch expiry stops further decodes and surfaces
+    // through the fold as kDeadlineExceeded — not degradable, so the scan
+    // aborts instead of marking the rest of the window skipped.
+    if (cancel != nullptr) SPATE_RETURN_IF_ERROR(cancel->Check());
     const size_t count = std::min(batch, scan_leaves.size() - base);
-    std::vector<Slot> slots(count);
-    pool_->ParallelFor(count, [&](size_t begin, size_t end) {
-      DecodeContext ctx;  // per-worker buffer; no nested fan-out
-      ctx.fragment_cache = fragment_cache_.get();
-      ctx.fragment_generation = fragment_generation;
+    std::vector<DecodedLeaf> slots(count);
+    auto decode_range = [&](size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
-        if (cancel_ != nullptr) {
-          slots[i].status = cancel_->Check();
+        if (cancel != nullptr) {
+          slots[i].status = cancel->Check();
           if (!slots[i].status.ok()) continue;  // skip decode, fold aborts
         }
-        const uint64_t bytes_before = ctx.bytes_decoded;
-        const uint64_t hits_before = ctx.fragment_hits;
-        const uint64_t saved_before = ctx.fragment_bytes_saved;
         slots[i].status =
-            DecodeLeafWith(*scan_leaves[base + i], opts, &ctx,
-                           &slots[i].snapshot);
-        slots[i].bytes = ctx.bytes_decoded - bytes_before;
-        slots[i].fragment_hits = ctx.fragment_hits - hits_before;
-        slots[i].fragment_saved = ctx.fragment_bytes_saved - saved_before;
+            DecodeLeafWith(*scan_leaves[base + i], restriction, decode,
+                           &slots[i]);
       }
-    });
+    };
+    if (parallel) {
+      pool_->ParallelFor(count, decode_range);
+    } else {
+      decode_range(0, count);
+    }
     for (size_t i = 0; i < count; ++i) {
-      last_scan_.bytes_decoded += slots[i].bytes;
-      last_scan_.fragment_hits += slots[i].fragment_hits;
-      last_scan_.bytes_decoded_saved += slots[i].fragment_saved;
-      SPATE_RETURN_IF_ERROR(
-          fold(*scan_leaves[base + i], slots[i].status, slots[i].snapshot));
+      SPATE_RETURN_IF_ERROR(fold(*scan_leaves[base + i], slots[i]));
     }
   }
   return Status::OK();
 }
 
-Status SpateFramework::ScanWindow(
-    Timestamp begin, Timestamp end,
-    const std::function<void(const Snapshot&)>& fn) {
-  // An unrestricted query resolves to the full-decode scan options.
-  ExplorationQuery everything;
-  everything.window_begin = begin;
-  everything.window_end = end;
-  return ScanWindowProjected(everything, fn);
-}
-
-Status SpateFramework::ScanWindowProjected(
-    const ExplorationQuery& query,
-    const std::function<void(const Snapshot&)>& fn) {
-  last_scan_ = ScanStats();
-  LeafScanOptions opts;
-  opts.cdr = ScanProjection(CdrSchema(), query.attributes, kCdrTs, kCdrCellId);
-  opts.nms = ScanProjection(NmsSchema(), query.attributes, kNmsTs, kNmsCellId);
-  if (!query.want_cdr) {
-    opts.cdr = TableProjection{/*all=*/false, /*skip=*/true, {}};
-  }
-  if (!query.want_nms) {
-    opts.nms = TableProjection{/*all=*/false, /*skip=*/true, {}};
-  }
-  std::unordered_set<std::string> wanted;
-  if (query.has_box) {
-    const std::vector<std::string> in_box = cells_.CellsInBox(query.box);
-    wanted.insert(in_box.begin(), in_box.end());
-    opts.wanted_cells = &wanted;
-    opts.skip_leaves = options_.spatial_leaf_skip;
-  }
+Status SpateFramework::Scan(const ExplorationQuery& query, QueryContext* ctx,
+                            const std::function<void(const Snapshot&)>& fn) {
   return ScanLeaves(
-      index_.LeavesInWindow(query.window_begin, query.window_end), opts, fn);
+      index_.LeavesInWindow(query.window_begin, query.window_end),
+      ResolveScanRestriction(query, cells_), ctx, fn);
 }
 
 Result<NodeSummary> SpateFramework::AggregateWindow(Timestamp begin,

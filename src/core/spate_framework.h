@@ -4,7 +4,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -74,8 +73,8 @@ struct SpateOptions {
 
   /// Degraded reads: when a leaf's every replica is unreadable (datanodes
   /// down, all copies corrupt), treat it like a decayed leaf — `Execute`
-  /// falls back to the covering highlight summary, `ScanWindow` skips it
-  /// (reporting the epoch in `last_scan_stats()`), and `Recover` keeps
+  /// falls back to the covering highlight summary, `Scan` skips it
+  /// (reporting the epoch in its context's stats), and `Recover` keeps
   /// going past it. When false, storage faults surface as hard errors.
   bool degraded_reads = true;
 
@@ -113,12 +112,15 @@ struct RecoveryReport {
 /// index with materialized highlights, and decaying of aged raw data.
 ///
 /// Concurrency: the framework parallelizes *internally* (per
-/// `ParallelismOptions`) but its public surface is externally synchronized —
-/// one `Ingest`/`Execute`/`ScanWindow`/`RunDecay` call at a time, like the
-/// serial framework. The fan-out happens below the API: ingest compresses
-/// one snapshot's chunks concurrently, scans decode in-window leaves
-/// concurrently, and both fold their stats back before returning. See
-/// DESIGN.md "Concurrency model" for the per-class contracts.
+/// `ParallelismOptions`). `Scan`s with distinct `QueryContext`s may run
+/// concurrently — a scan keeps all its state in its context and reads only
+/// const index state — but not alongside a mutator (`Ingest`, `RunDecay`).
+/// Mutators and the stats-recording wrappers (`ScanWindow`,
+/// `ScanWindowProjected`, `Execute`) are externally synchronized. The
+/// fan-out happens below the API: ingest compresses one snapshot's chunks
+/// concurrently, and a scan decodes its in-window leaves concurrently and
+/// folds their stats into its context before returning. See DESIGN.md
+/// "Concurrency model" for the per-class contracts.
 class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
  public:
   /// `cell_rows` is the static CELL inventory (also persisted to the DFS).
@@ -156,21 +158,19 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
     return last_ingest_;
   }
   Result<QueryResult> Execute(const ExplorationQuery& query) override;
-  Status ScanWindow(
-      Timestamp begin, Timestamp end,
-      const std::function<void(const Snapshot&)>& fn) override;
   /// Projection + spatial pushdown: columnar leaves decode only the column
   /// chunks covering the query's attributes (plus ts/cell id for the
   /// predicates) and, with a box, materialize only the matching rows via
   /// the embedded row-position lists; row leaves decode fully and restrict
   /// in memory. Either way the streamed snapshots are byte-identical to
-  /// the default implementation's, except that leaves proven disjoint from
-  /// the box are skipped outright (`fn` not called;
-  /// `last_scan_stats().leaves_skipped_spatial` counts them).
-  Status ScanWindowProjected(
-      const ExplorationQuery& query,
-      const std::function<void(const Snapshot&)>& fn) override;
-  const ScanStats& last_scan_stats() const override { return last_scan_; }
+  /// `RestrictSnapshot`'s, except that leaves proven disjoint from the box
+  /// are skipped outright (`fn` not called; `leaves_skipped_spatial`
+  /// counts them). The token is polled between leaf decodes (serial path)
+  /// and between batches and inside workers (parallel path); its
+  /// `kDeadlineExceeded` is deliberately *not* a degradable failure, so an
+  /// expired scan aborts instead of skipping the rest of its window.
+  Status Scan(const ExplorationQuery& query, QueryContext* ctx,
+              const std::function<void(const Snapshot&)>& fn) override;
   Result<NodeSummary> AggregateWindow(Timestamp begin,
                                       Timestamp end) override;
   /// Planner statistics straight from the temporal index: one entry per
@@ -184,12 +184,6 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
   const std::vector<Record>& cell_rows() const override {
     return cell_rows_;
   }
-  /// Cooperative cancellation: scans poll the token between leaf decodes
-  /// (serial path) / between batches and inside workers (parallel path) and
-  /// unwind with `kDeadlineExceeded` — which is deliberately *not* a
-  /// degradable failure, so an expired query aborts instead of skipping the
-  /// rest of its window as "degraded".
-  void SetCancelToken(const CancelToken* token) override { cancel_ = token; }
 
   /// The underlying temporal index (inspection / advanced exploration).
   const TemporalIndex& index() const { return index_; }
@@ -240,63 +234,48 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
   /// DFS path of the raw (compressed) snapshot for an epoch.
   static std::string LeafPath(Timestamp epoch_start);
 
-  /// Per-worker leaf-decode state: the pool — if any — that chunked
-  /// single-blob decodes may fan out on, plus the counters a scan folds.
-  /// Workers of a parallel scan each own one with `decode_pool == nullptr`
-  /// (fan out across leaves OR across chunk parts, never both nested).
+  /// Scan-local leaf-decode state: the pool — if any — that chunked
+  /// single-blob decodes may fan out on (null for the workers of a parallel
+  /// scan: fan out across leaves OR across chunk parts, never both nested),
+  /// and the fragment cache with the store generation captured at scan
+  /// start (no mutator runs during a scan, so it is stable); null disables.
   struct DecodeContext {
     ThreadPool* decode_pool = nullptr;
-    /// Cumulative decompressed bytes this context produced (cache hits add
-    /// nothing); scans fold per-leaf deltas into
-    /// `ScanStats::bytes_decoded`.
-    uint64_t bytes_decoded = 0;
-    /// Fragment cache handle + the store generation captured at scan start
-    /// (no mutator runs during a scan, so it is stable); null/0 disables.
     FragmentCache* fragment_cache = nullptr;
     uint64_t fragment_generation = 0;
-    /// Fragment-cache wins this context observed; scans fold per-leaf
-    /// deltas into `ScanStats::fragment_hits`/`bytes_decoded_saved`.
+  };
+
+  /// One leaf as a scan decoded it, folded into `ScanStats` in leaf order.
+  struct DecodedLeaf {
+    Status status;
+    Snapshot snapshot;
+    /// Decompressed bytes produced (fragment-cache hits add nothing).
+    uint64_t bytes_decoded = 0;
+    /// Fragment-cache wins and the decompressed bytes they avoided.
     uint64_t fragment_hits = 0;
     uint64_t fragment_bytes_saved = 0;
   };
 
-  /// What a scan materializes per leaf: the per-table column projections
-  /// (scan-level, i.e. always including ts and cell id), an optional cell
-  /// restriction, and whether whole leaves may be skipped on their
-  /// summary's cell-id set. The default decodes everything — bit-identical
-  /// to the pre-columnar scan path.
-  struct LeafScanOptions {
-    TableProjection cdr;
-    TableProjection nms;
-    /// When non-null, only rows of these cells are materialized.
-    const std::unordered_set<std::string>* wanted_cells = nullptr;
-    /// Skip leaves whose summary shares no cell with `wanted_cells`.
-    bool skip_leaves = false;
+  /// Decodes one leaf into `out` per `restriction`. Columnar blobs decode
+  /// exactly the chunks the restriction calls for, straight into the
+  /// snapshot; row blobs decompress their full text (cached whole under
+  /// "@row"), parse it and restrict in memory. Touches nothing but `out`,
+  /// the (thread-safe) DFS and fragment cache, so concurrent scans and
+  /// their workers call it freely.
+  Status DecodeLeafWith(const LeafNode& leaf,
+                        const ScanRestriction& restriction,
+                        const DecodeContext& ctx, DecodedLeaf* out) const;
 
-    bool restricted() const {
-      return !cdr.all || !nms.all || wanted_cells != nullptr;
-    }
-  };
-
-  /// Decodes one leaf into a (possibly projected/restricted) snapshot per
-  /// `opts`. Columnar blobs decode exactly the chunks the options call
-  /// for, straight into the snapshot; row blobs decompress their full text
-  /// (cached whole under "@row"), parse it and restrict in memory. Touches
-  /// no framework state except `ctx`, the (thread-safe) DFS and fragment
-  /// cache — the parallel scan path calls it concurrently with per-worker
-  /// contexts.
-  Status DecodeLeafWith(const LeafNode& leaf, const LeafScanOptions& opts,
-                        DecodeContext* ctx, Snapshot* snapshot) const;
-
-  /// The one scan funnel: decodes every leaf in `leaves` per `opts` and
-  /// hands each snapshot to `fn` on the calling thread, in timestamp order.
-  /// Fans the decode out on the pool when it exists and the window spans
-  /// enough leaves to pay for it; degradable decode failures skip their
-  /// epoch, and everything feeds `last_scan_` via per-worker counters
-  /// folded in leaf order.
+  /// The one scan funnel: decodes every leaf in `leaves` per `restriction`
+  /// and hands each snapshot to `fn` on the calling thread, in timestamp
+  /// order. With a box and `spatial_leaf_skip`, leaves whose summary shares
+  /// no cell with it are dropped up front. Fans the decode out on the pool
+  /// when it exists and the window spans enough leaves to pay for it;
+  /// degradable decode failures skip their epoch. Everything feeds
+  /// `ctx->stats`, folded in leaf order; no framework member is written.
   Status ScanLeaves(const std::vector<const LeafNode*>& leaves,
-                    const LeafScanOptions& opts,
-                    const std::function<void(const Snapshot&)>& fn);
+                    const ScanRestriction& restriction, QueryContext* ctx,
+                    const std::function<void(const Snapshot&)>& fn) const;
 
   /// Shared construction guts for the public ctor and `Recover`.
   SpateFramework(SpateOptions options,
@@ -312,13 +291,8 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
   std::vector<Record> cell_rows_;
   TemporalIndex index_;
   IngestStats last_ingest_;
-  ScanStats last_scan_;
   RecoveryReport recovery_report_;
   Timestamp last_day_persisted_ = -1;
-  /// Installed by `SetCancelToken`; polled by scans. Not owned.
-  const CancelToken* cancel_ = nullptr;
-  /// Serial-path decode context (parallel scans use per-worker ones).
-  DecodeContext decode_ctx_;
   /// Decoded-fragment cache (null when `fragment_cache_bytes == 0`). The
   /// cache object is internally synchronized; the generation discipline —
   /// bump on every mutator, capture once per scan — follows the

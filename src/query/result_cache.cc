@@ -139,17 +139,4 @@ void ResultCache::SetDecayedUntil(Timestamp decayed_until) {
   });
 }
 
-Result<QueryResult> CachedExplorer::Execute(const ExplorationQuery& query) {
-  if (auto cached = cache_.Lookup(query, framework_->cells())) {
-    return *std::move(cached);
-  }
-  SPATE_ASSIGN_OR_RETURN(QueryResult result, framework_->Execute(query));
-  if (result.exact) {
-    // Remember what the execution cost in decompressed bytes, so future
-    // hits can report the decode work the cache saved.
-    cache_.Insert(query, result, framework_->last_scan_stats().bytes_decoded);
-  }
-  return result;
-}
-
 }  // namespace spate

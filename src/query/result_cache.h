@@ -37,9 +37,9 @@ namespace spate {
 /// Thread-safety: fully thread-safe. The web tier serves many user sessions
 /// at once, so the LRU list and hit counters live behind one internal
 /// mutex (`GUARDED_BY(mu_)`, proven by the static-analysis CI job); each
-/// `Lookup`/`Insert` is atomic with respect to the others. Note the
-/// *framework* behind a `CachedExplorer` keeps its own externally
-/// synchronized contract — only the cache itself may be shared freely.
+/// `Lookup`/`Insert` is atomic with respect to the others; the owner runs
+/// the framework between a missed `Lookup` and its `Insert`, under the
+/// framework's own contract.
 class ResultCache {
  public:
   /// Hit accounting, including the decode work hits avoided: the sum of
@@ -124,24 +124,6 @@ class ResultCache {
   uint64_t hits_ GUARDED_BY(mu_) = 0;
   uint64_t misses_ GUARDED_BY(mu_) = 0;
   uint64_t bytes_decoded_saved_ GUARDED_BY(mu_) = 0;
-};
-
-/// Convenience wrapper running exploration queries through a `ResultCache`
-/// in front of a framework (what the SPATE-UI web tier does).
-class CachedExplorer {
- public:
-  explicit CachedExplorer(Framework* framework, size_t capacity = 16)
-      : framework_(framework), cache_(capacity) {}
-
-  /// Executes `query`, consulting the cache first and caching exact
-  /// results.
-  Result<QueryResult> Execute(const ExplorationQuery& query);
-
-  const ResultCache& cache() const { return cache_; }
-
- private:
-  Framework* framework_;
-  ResultCache cache_;
 };
 
 }  // namespace spate

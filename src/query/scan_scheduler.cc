@@ -168,13 +168,11 @@ std::shared_ptr<ScanScheduler::Pass> ScanScheduler::BuildPassLocked(
 }
 
 void ScanScheduler::HarvestSkipsLocked(const std::shared_ptr<Pass>& pass) {
-  // `last_scan_stats()` belongs to the pass while it owns the scan slot;
-  // skips are appended in strict epoch order *before* any later leaf's fold
-  // (both scan paths fold serially on the leader thread), so harvesting
-  // here — before rows fold — means a waiter can never be released with an
+  // Skips are appended in strict epoch order *before* any later leaf's fold
+  // (the scan folds serially on the leader thread), so harvesting here —
+  // before rows fold — means a waiter can never be released with an
   // in-window skip still unseen.
-  const std::vector<Timestamp>& skips =
-      framework_->last_scan_stats().skipped_epochs;
+  const std::vector<Timestamp>& skips = pass->ctx.stats.skipped_epochs;
   for (; pass->skip_cursor < skips.size(); ++pass->skip_cursor) {
     const Timestamp s = skips[pass->skip_cursor];
     for (Waiter* w : pass->waiters) {
@@ -188,7 +186,7 @@ void ScanScheduler::HarvestSkipsLocked(const std::shared_ptr<Pass>& pass) {
 void ScanScheduler::FoldLeafLocked(const std::shared_ptr<Pass>& pass,
                                    Timestamp epoch, const Snapshot& snapshot) {
   HarvestSkipsLocked(pass);
-  pass->bytes_so_far = framework_->last_scan_stats().bytes_decoded;
+  pass->bytes_so_far = pass->ctx.stats.bytes_decoded;
   for (Waiter* w : pass->waiters) {
     if (w->rows_done) continue;
     if (epoch < w->first_epoch || epoch > w->last_epoch) continue;
@@ -239,31 +237,22 @@ void ScanScheduler::RunPass(const std::shared_ptr<Pass>& pass) {
   // scan error (wakeup and status propagation still run).
   Status pass_status;
   SPATE_FAILPOINT_INJECT("query.scan_scheduler.pass", pass_status);
-  bool scanned = false;
   if (pass_status.ok()) {
-    scanned = true;
-    framework_->SetCancelToken(&pass->pass_token);
-    pass_status = framework_->ScanWindowProjected(
-        pass->union_query, [&](const Snapshot& snapshot) {
+    pass_status = framework_->Scan(
+        pass->union_query, &pass->ctx, [&](const Snapshot& snapshot) {
           MutexLock lock(&mu_);
           FoldLeafLocked(pass, snapshot.epoch_start, snapshot);
         });
-    framework_->SetCancelToken(nullptr);
   }
   MutexLock lock(&mu_);
-  if (scanned) {
-    // Trailing skips (epochs after the last streamed leaf) and the final
-    // byte count only exist in the framework's stats now; harvest them
-    // while the scan slot is still ours. When the pass failed before
-    // scanning, `last_scan_stats()` still describes the *previous* scan —
-    // touching it would corrupt waiter skip lists and the counters.
-    HarvestSkipsLocked(pass);
-    const ScanStats& scan = framework_->last_scan_stats();
-    pass->bytes_so_far = scan.bytes_decoded;
-    stats_.bytes_decoded += scan.bytes_decoded;
-    stats_.fragment_hits += scan.fragment_hits;
-    stats_.bytes_decoded_saved += scan.bytes_decoded_saved;
-  }
+  // Trailing skips (epochs after the last streamed leaf) and the final byte
+  // count; a pass that failed before scanning has empty stats.
+  HarvestSkipsLocked(pass);
+  const ScanStats& scan = pass->ctx.stats;
+  pass->bytes_so_far = scan.bytes_decoded;
+  stats_.bytes_decoded += scan.bytes_decoded;
+  stats_.fragment_hits += scan.fragment_hits;
+  stats_.bytes_decoded_saved += scan.bytes_decoded_saved;
   pass->status = pass_status;
   pass->done = true;
   if (pass_status.ok()) {
@@ -336,7 +325,7 @@ Result<QueryResult> ScanScheduler::Execute(const ExplorationQuery& query,
       if (w.rows_done || w.pass->done) break;
     } else {
       if (current_ == nullptr) {
-        // The scan slot is free and we are still pending: lead a pass sized
+        // The pass slot is free and we are still pending: lead a pass sized
         // to the union of every clusterable pending waiter.
         std::shared_ptr<Pass> pass = BuildPassLocked(&w);
         mu_.Unlock();

@@ -67,14 +67,13 @@ struct SharedExecInfo {
 /// answer is finished by the framework's own `BuildAnswer`, which keeps
 /// every answer bit-identical to a private `framework->Execute(query)`.
 ///
-/// The underlying framework is externally synchronized; this class *is*
+/// The framework's mutators are externally synchronized; this class *is*
 /// that synchronization for multi-threaded callers. Internally it keeps a
 /// read/write state machine under one mutex:
-///   - `Execute` calls hold a read lease. At most one *pass* touches the
-///     framework at a time (its surface allows only one scan), but attached
-///     waiters block on a condvar, not on the framework, and summary-only
-///     answers (decayed windows) run under the lease alone off const index
-///     state.
+///   - `Execute` calls hold a read lease. One *pass* scans at a time, with
+///     its own `QueryContext`; attached waiters block on a condvar, not on
+///     the framework, and summary-only answers (decayed windows) run under
+///     the lease alone off const index state.
 ///   - `RunExclusive` (ingest/decay/recovery hooks) drains leases with
 ///     writer priority and runs its closure alone.
 ///
@@ -157,12 +156,15 @@ class ScanScheduler {
     std::vector<Waiter*> waiters;
     /// Cancelled only when no live waiter needs the pass anymore.
     CancelToken pass_token;
+    /// The pass's own scan context: `pass_token` cancels it, and only the
+    /// leader thread touches its stats (the scan's fold and `RunPass`).
+    QueryContext ctx{&pass_token, {}};
     bool done = false;
     Status status;
-    /// Skip-list harvest cursor into `last_scan_stats().skipped_epochs`.
+    /// Skip-list harvest cursor into `ctx.stats.skipped_epochs`.
     size_t skip_cursor = 0;
-    /// `bytes_decoded` of the pass so far (monotone snapshot of the
-    /// framework's scan stats, readable after the pass ends too).
+    /// `bytes_decoded` of the pass so far (monotone snapshot of `ctx`'s
+    /// stats that waiters read under `mu_`, after the pass ends too).
     uint64_t bytes_so_far = 0;
   };
 
@@ -201,8 +203,8 @@ class ScanScheduler {
   void FoldLeafLocked(const std::shared_ptr<Pass>& pass, Timestamp epoch,
                       const Snapshot& snapshot) REQUIRES(mu_);
 
-  /// Appends `last_scan_stats().skipped_epochs` entries past the pass's
-  /// cursor to every intersecting waiter's `result.skipped_epochs`.
+  /// Appends the pass's `skipped_epochs` entries past its cursor to every
+  /// intersecting waiter's `result.skipped_epochs`.
   void HarvestSkipsLocked(const std::shared_ptr<Pass>& pass) REQUIRES(mu_);
 
   /// Cancels the pass's token iff no registered waiter still needs it
@@ -227,7 +229,7 @@ class ScanScheduler {
   /// queries hold off while a writer waits).
   bool exclusive_ GUARDED_BY(mu_) = false;
   int writers_waiting_ GUARDED_BY(mu_) = 0;
-  /// The in-flight shared pass (null when the framework scan slot is free).
+  /// The in-flight shared pass (null when the pass slot is free).
   std::shared_ptr<Pass> current_ GUARDED_BY(mu_);
   /// Arrived waiters not yet attached to a pass.
   std::vector<Waiter*> pending_ GUARDED_BY(mu_);

@@ -279,12 +279,17 @@ TEST_F(LockdepTest, CleanFrameworkRunProducesAnEmptyReport) {
     ASSERT_TRUE(spate.Ingest(gen.GenerateSnapshot(epoch)).ok());
   }
 
-  CachedExplorer explorer(&spate);  // exercise the ResultCache tier
+  // Exercise the ResultCache tier: a miss runs the framework and inserts,
+  // the repeat is a hit.
+  ResultCache cache;
   ExplorationQuery query;
   query.window_begin = config.start + 6 * 3600;
   query.window_end = config.start + 18 * 3600;
-  ASSERT_TRUE(explorer.Execute(query).ok());
-  ASSERT_TRUE(explorer.Execute(query).ok());  // cache hit path
+  ASSERT_FALSE(cache.Lookup(query, spate.cells()).has_value());
+  auto result = spate.Execute(query);
+  ASSERT_TRUE(result.ok());
+  cache.Insert(query, *result, spate.last_scan_stats().bytes_decoded);
+  ASSERT_TRUE(cache.Lookup(query, spate.cells()).has_value());
 
   // Failover: kill a datanode mid-life, scan through it, revive, repair.
   ASSERT_TRUE(spate.dfs().KillDatanode(0).ok());

@@ -42,28 +42,44 @@ TraceConfig* ResultCacheTest::config_ = nullptr;
 TraceGenerator* ResultCacheTest::gen_ = nullptr;
 SpateFramework* ResultCacheTest::spate_ = nullptr;
 
+/// The owner's side of the cache protocol (what `spate_cli` and the serving
+/// tier do): serve a covering exact entry, else execute and cache an exact
+/// answer priced by what its scan decoded.
+Result<QueryResult> CachedExecute(ResultCache* cache, SpateFramework* spate,
+                                  const ExplorationQuery& query) {
+  if (auto cached = cache->Lookup(query, spate->cells())) {
+    return *std::move(cached);
+  }
+  SPATE_ASSIGN_OR_RETURN(QueryResult result, spate->Execute(query));
+  if (result.exact) {
+    cache->Insert(query, result, spate->last_scan_stats().bytes_decoded);
+  }
+  return result;
+}
+
 TEST_F(ResultCacheTest, IdenticalQueryHits) {
-  CachedExplorer explorer(spate_);
-  auto first = explorer.Execute(DayQuery());
+  ResultCache cache;
+  auto first = CachedExecute(&cache, spate_, DayQuery());
   ASSERT_TRUE(first.ok());
-  EXPECT_EQ(explorer.cache().misses(), 1u);
-  auto second = explorer.Execute(DayQuery());
+  EXPECT_EQ(cache.misses(), 1u);
+  auto second = CachedExecute(&cache, spate_, DayQuery());
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(explorer.cache().hits(), 1u);
+  EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(second->cdr_rows.size(), first->cdr_rows.size());
   EXPECT_EQ(second->nms_rows.size(), first->nms_rows.size());
 }
 
 TEST_F(ResultCacheTest, SubWindowServedFromCacheMatchesDirect) {
-  CachedExplorer explorer(spate_);
-  ASSERT_TRUE(explorer.Execute(DayQuery()).ok());  // warm: 08:00-20:00
+  ResultCache cache;
+  // Warm: 08:00-20:00.
+  ASSERT_TRUE(CachedExecute(&cache, spate_, DayQuery()).ok());
 
   ExplorationQuery narrow = DayQuery();
   narrow.window_begin = config_->start + 11 * 3600;
   narrow.window_end = config_->start + 13 * 3600;
-  auto cached = explorer.Execute(narrow);
+  auto cached = CachedExecute(&cache, spate_, narrow);
   ASSERT_TRUE(cached.ok());
-  EXPECT_EQ(explorer.cache().hits(), 1u);
+  EXPECT_EQ(cache.hits(), 1u);
 
   auto direct = spate_->Execute(narrow);
   ASSERT_TRUE(direct.ok());
@@ -73,53 +89,55 @@ TEST_F(ResultCacheTest, SubWindowServedFromCacheMatchesDirect) {
 }
 
 TEST_F(ResultCacheTest, SubBoxServedFromCache) {
-  CachedExplorer explorer(spate_);
-  ASSERT_TRUE(explorer.Execute(DayQuery()).ok());  // unboxed = whole region
+  ResultCache cache;
+  // Unboxed = whole region.
+  ASSERT_TRUE(CachedExecute(&cache, spate_, DayQuery()).ok());
 
   ExplorationQuery boxed = DayQuery();
   boxed.has_box = true;
   const BoundingBox extent = spate_->cells().extent();
   boxed.box = BoundingBox{extent.min_x, extent.min_y,
                           (extent.min_x + extent.max_x) / 2, extent.max_y};
-  auto cached = explorer.Execute(boxed);
+  auto cached = CachedExecute(&cache, spate_, boxed);
   ASSERT_TRUE(cached.ok());
-  EXPECT_EQ(explorer.cache().hits(), 1u);
+  EXPECT_EQ(cache.hits(), 1u);
   auto direct = spate_->Execute(boxed);
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(cached->cdr_rows.size(), direct->cdr_rows.size());
 }
 
 TEST_F(ResultCacheTest, WiderWindowMisses) {
-  CachedExplorer explorer(spate_);
+  ResultCache cache;
   ExplorationQuery narrow = DayQuery();
   narrow.window_end = config_->start + 10 * 3600;
-  ASSERT_TRUE(explorer.Execute(narrow).ok());
+  ASSERT_TRUE(CachedExecute(&cache, spate_, narrow).ok());
   // Wider than cached: must go to the framework.
-  ASSERT_TRUE(explorer.Execute(DayQuery()).ok());
-  EXPECT_EQ(explorer.cache().hits(), 0u);
-  EXPECT_EQ(explorer.cache().misses(), 2u);
+  ASSERT_TRUE(CachedExecute(&cache, spate_, DayQuery()).ok());
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 2u);
 }
 
 TEST_F(ResultCacheTest, BoxedEntryDoesNotServeUnboxedQuery) {
-  CachedExplorer explorer(spate_);
+  ResultCache cache;
   ExplorationQuery boxed = DayQuery();
   boxed.has_box = true;
   boxed.box = spate_->cells().extent();
-  ASSERT_TRUE(explorer.Execute(boxed).ok());
-  ASSERT_TRUE(explorer.Execute(DayQuery()).ok());  // unboxed
-  EXPECT_EQ(explorer.cache().hits(), 0u);
+  ASSERT_TRUE(CachedExecute(&cache, spate_, boxed).ok());
+  ASSERT_TRUE(CachedExecute(&cache, spate_, DayQuery()).ok());  // unboxed
+  EXPECT_EQ(cache.hits(), 0u);
 }
 
 TEST_F(ResultCacheTest, HitsCreditBytesDecodedSaved) {
-  CachedExplorer explorer(spate_);
-  ASSERT_TRUE(explorer.Execute(DayQuery()).ok());  // miss: scans + inserts
+  ResultCache cache;
+  // Miss: scans + inserts.
+  ASSERT_TRUE(CachedExecute(&cache, spate_, DayQuery()).ok());
   const uint64_t scan_cost = spate_->last_scan_stats().bytes_decoded;
   ASSERT_GT(scan_cost, 0u);
-  EXPECT_EQ(explorer.cache().stats().bytes_decoded_saved, 0u);
+  EXPECT_EQ(cache.stats().bytes_decoded_saved, 0u);
 
-  ASSERT_TRUE(explorer.Execute(DayQuery()).ok());
-  ASSERT_TRUE(explorer.Execute(DayQuery()).ok());
-  const ResultCache::CacheStats stats = explorer.cache().stats();
+  ASSERT_TRUE(CachedExecute(&cache, spate_, DayQuery()).ok());
+  ASSERT_TRUE(CachedExecute(&cache, spate_, DayQuery()).ok());
+  const ResultCache::CacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 2u);
   EXPECT_EQ(stats.misses, 1u);
   // Every hit credits the decompressed bytes the original execution cost.
@@ -127,48 +145,49 @@ TEST_F(ResultCacheTest, HitsCreditBytesDecodedSaved) {
 }
 
 TEST_F(ResultCacheTest, ProjectedQueryServedVerbatimWhenIdentical) {
-  CachedExplorer explorer(spate_);
+  ResultCache cache;
   ExplorationQuery projected = DayQuery();
   projected.attributes = {"ts", "upflux", "downflux"};
-  auto first = explorer.Execute(projected);
+  auto first = CachedExecute(&cache, spate_, projected);
   ASSERT_TRUE(first.ok());
-  auto second = explorer.Execute(projected);
+  auto second = CachedExecute(&cache, spate_, projected);
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(explorer.cache().hits(), 1u);
+  EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(second->cdr_rows, first->cdr_rows);
   EXPECT_EQ(second->nms_rows, first->nms_rows);
-  EXPECT_GT(explorer.cache().stats().bytes_decoded_saved, 0u);
+  EXPECT_GT(cache.stats().bytes_decoded_saved, 0u);
 }
 
 TEST_F(ResultCacheTest, ProjectedEntryNeverServesDifferentQuery) {
-  CachedExplorer explorer(spate_);
+  ResultCache cache;
   ExplorationQuery projected = DayQuery();
   projected.attributes = {"ts", "upflux", "downflux"};
-  ASSERT_TRUE(explorer.Execute(projected).ok());
+  ASSERT_TRUE(CachedExecute(&cache, spate_, projected).ok());
 
   // A projected entry lacks the predicate columns, so even a sub-window of
   // the same projection cannot be re-filtered from it.
   ExplorationQuery narrower = projected;
   narrower.window_end -= 3600;
-  ASSERT_TRUE(explorer.Execute(narrower).ok());
+  ASSERT_TRUE(CachedExecute(&cache, spate_, narrower).ok());
   // And a different attribute list is a different result shape.
   ExplorationQuery other = projected;
   other.attributes = {"ts", "duration"};
-  ASSERT_TRUE(explorer.Execute(other).ok());
-  EXPECT_EQ(explorer.cache().hits(), 0u);
-  EXPECT_EQ(explorer.cache().misses(), 3u);
+  ASSERT_TRUE(CachedExecute(&cache, spate_, other).ok());
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 3u);
 }
 
 TEST_F(ResultCacheTest, UnprojectedEntryServesProjectedSubQuery) {
-  CachedExplorer explorer(spate_);
-  ASSERT_TRUE(explorer.Execute(DayQuery()).ok());  // full-width entry
+  ResultCache cache;
+  // Full-width entry.
+  ASSERT_TRUE(CachedExecute(&cache, spate_, DayQuery()).ok());
 
   ExplorationQuery projected = DayQuery();
   projected.attributes = {"ts", "upflux", "downflux"};
   projected.window_begin += 3600;
-  auto cached = explorer.Execute(projected);
+  auto cached = CachedExecute(&cache, spate_, projected);
   ASSERT_TRUE(cached.ok());
-  EXPECT_EQ(explorer.cache().hits(), 1u);
+  EXPECT_EQ(cache.hits(), 1u);
 
   // The served rows must match a direct projected execution byte for byte
   // (projection applied after re-filtering, summary built before it).
@@ -212,16 +231,14 @@ TEST_F(ResultCacheTest, LruEviction) {
 }
 
 TEST_F(ResultCacheTest, ZeroCapacityNeverCaches) {
-  CachedExplorer explorer(spate_, 0);
-  ASSERT_TRUE(explorer.Execute(DayQuery()).ok());
-  ASSERT_TRUE(explorer.Execute(DayQuery()).ok());
-  EXPECT_EQ(explorer.cache().hits(), 0u);
-  EXPECT_EQ(explorer.cache().size(), 0u);
+  ResultCache cache(0);
+  ASSERT_TRUE(CachedExecute(&cache, spate_, DayQuery()).ok());
+  ASSERT_TRUE(CachedExecute(&cache, spate_, DayQuery()).ok());
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST_F(ResultCacheTest, ClearResets) {
-  CachedExplorer explorer(spate_);
-  ASSERT_TRUE(explorer.Execute(DayQuery()).ok());
   ResultCache cache(4);
   cache.Insert(DayQuery(), QueryResult{});
   cache.Clear();

@@ -449,6 +449,8 @@ TEST(SharedScanTest, ExpiredTokenFailsBeforeTouchingStorage) {
   query.window_end = gen.config().start + 4 * kEpochSeconds;
   auto result = scheduler.Execute(query, &cancel);
   ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsDeadlineExceeded())
+      << result.status().ToString();
   const ScanSchedulerStats stats = scheduler.stats();
   EXPECT_EQ(stats.passes_started, 0u);
   EXPECT_EQ(stats.waiters_detached, 0u);

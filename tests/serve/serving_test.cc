@@ -146,7 +146,7 @@ TEST(QueryServerTest, BoxSelectingNothingAnswersEmptyWithoutShards) {
 
 // The deterministic deadline-propagation proof: a scan over many leaves is
 // cancelled from its own callback after the first leaf, and the framework
-// observes the cancellation *between* leaves — exactly one snapshot is
+// observes its context's token *between* leaves — exactly one snapshot is
 // streamed and the scan unwinds with kDeadlineExceeded (not a degraded
 // skip: cancellation is deliberately not a degradable failure).
 TEST(DeadlinePropagationTest, CancelObservedBetweenLeaves) {
@@ -158,39 +158,25 @@ TEST(DeadlinePropagationTest, CancelObservedBetweenLeaves) {
     ASSERT_TRUE(framework.Ingest(gen.GenerateSnapshot(epoch)).ok());
     epochs.push_back(epoch);
   }
+  const ExplorationQuery window =
+      WindowQuery(epochs.front(), epochs.back() + kEpochSeconds);
   CancelToken token;
-  framework.SetCancelToken(&token);
+  QueryContext cancelled{&token, {}};
   int streamed = 0;
-  const Status scan = framework.ScanWindow(
-      epochs.front(), epochs.back() + kEpochSeconds,
-      [&](const Snapshot&) {
+  const Status scan =
+      framework.Scan(window, &cancelled, [&](const Snapshot&) {
         ++streamed;
         token.Cancel();  // cancel mid-scan, from the serial fold
       });
-  framework.SetCancelToken(nullptr);
   EXPECT_TRUE(scan.IsDeadlineExceeded()) << scan.ToString();
   EXPECT_EQ(streamed, 1);  // the check fired before the second decode
-  // The token detached: the same scan now completes.
+  EXPECT_EQ(cancelled.stats.leaves_scanned, 1u);
+  // The token belonged to that call alone: a fresh context completes.
+  QueryContext fresh;
   int full = 0;
-  ASSERT_TRUE(framework
-                  .ScanWindow(epochs.front(), epochs.back() + kEpochSeconds,
-                              [&](const Snapshot&) { ++full; })
-                  .ok());
+  ASSERT_TRUE(
+      framework.Scan(window, &fresh, [&](const Snapshot&) { ++full; }).ok());
   EXPECT_EQ(full, static_cast<int>(epochs.size()));
-}
-
-TEST(DeadlinePropagationTest, ExpiredTokenFailsExecuteBeforeStorage) {
-  const TraceGenerator gen(ServeTrace());
-  SpateFramework framework(SpateOptions{}, gen.cells());
-  const Timestamp epoch = gen.EpochStarts().front();
-  ASSERT_TRUE(framework.Ingest(gen.GenerateSnapshot(epoch)).ok());
-  CancelToken token;
-  token.Cancel();
-  framework.SetCancelToken(&token);
-  const auto result =
-      framework.Execute(WindowQuery(epoch, epoch + kEpochSeconds));
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsDeadlineExceeded());
 }
 
 /// Kills every datanode of one shard's DFS, so its queries fail hard.
