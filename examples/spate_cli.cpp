@@ -259,11 +259,10 @@ void RunScanStats(SpateFramework* spate, const TraceGenerator& generator,
            static_cast<unsigned long long>(f.misses),
            static_cast<unsigned long long>(f.insertions),
            static_cast<unsigned long long>(f.evictions));
-    printf("                %s resident in %llu fragments, generation %llu, "
+    printf("                %s resident in %llu fragments, "
            "%s of decode work saved\n",
            HumanBytes(f.resident_bytes).c_str(),
            static_cast<unsigned long long>(f.resident_entries),
-           static_cast<unsigned long long>(f.generation),
            HumanBytes(f.bytes_decoded_saved).c_str());
   } else {
     printf("fragment cache: disabled (fragment_cache_bytes = 0)\n");

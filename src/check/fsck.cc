@@ -199,8 +199,19 @@ check::FsckReport SpateFramework::Fsck() const {
                            FormatCompact(decayed_until));
           }
           // Raw data gone by design; only the (retained) summary serves
-          // this epoch.
-          if (leaf.decayed) continue;
+          // this epoch — and its decoded rows must be gone from memory too.
+          if (leaf.decayed) {
+            const uint64_t resident =
+                fragment_cache_ != nullptr
+                    ? fragment_cache_->ResidentBytesFor(leaf.epoch_start)
+                    : 0;
+            if (resident > 0) {
+              report.Add(check::kDecayOrder, object,
+                         "decayed leaf keeps " + std::to_string(resident) +
+                             " decoded bytes in the fragment cache");
+            }
+            continue;
+          }
 
           auto blob = dfs_->InspectFile(leaf.dfs_path);
           if (!blob.ok()) {

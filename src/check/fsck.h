@@ -31,6 +31,8 @@ inline constexpr std::string_view kColumnarChunk = "columnar-chunk";
 inline constexpr std::string_view kIndexShape = "index-shape";
 inline constexpr std::string_view kHighlightConsistency =
     "highlight-consistency";
+/// Decay: no live leaf behind the decay horizon, and no decayed leaf with
+/// decoded fragments still resident in the fragment cache.
 inline constexpr std::string_view kDecayOrder = "decay-order";
 /// Concurrency layer (only ever emitted in lockdep-instrumented builds;
 /// mirrors spate::lockdep's own `lock-cycle` / `lock-same-rank` ids —

@@ -80,8 +80,7 @@ Status DecodeChunk(const ColumnarReader& reader, std::string_view name,
                    std::string* data, uint64_t* bytes_decoded,
                    FragmentCacheScope* fragments = nullptr) {
   if (fragments != nullptr && fragments->cache != nullptr &&
-      fragments->cache->Lookup(fragments->leaf_epoch, name,
-                               fragments->generation, data)) {
+      fragments->cache->Lookup(fragments->leaf_epoch, name, data)) {
     ++fragments->hits;
     fragments->bytes_saved += data->size();
     return Status::OK();
@@ -94,8 +93,7 @@ Status DecodeChunk(const ColumnarReader& reader, std::string_view name,
   SPATE_RETURN_IF_ERROR(ColumnarReader::Decode(*chunk, data));
   if (bytes_decoded != nullptr) *bytes_decoded += data->size();
   if (fragments != nullptr && fragments->cache != nullptr) {
-    fragments->cache->Insert(fragments->leaf_epoch, name,
-                             fragments->generation, *data);
+    fragments->cache->Insert(fragments->leaf_epoch, name, *data);
   }
   return Status::OK();
 }

@@ -5,34 +5,34 @@
 namespace spate {
 
 std::string FragmentCache::MakeKey(Timestamp leaf_epoch,
-                                   std::string_view fragment,
-                                   uint64_t generation) {
+                                   std::string_view fragment) {
   std::string key = std::to_string(leaf_epoch);
-  key.push_back('\x1f');
-  key += std::to_string(generation);
   key.push_back('\x1f');
   key.append(fragment.data(), fragment.size());
   return key;
 }
 
-void FragmentCache::BumpGeneration() {
+void FragmentCache::DropLeaf(Timestamp leaf_epoch) {
   MutexLock lock(&mu_);
-  ++generation_;
-  stats_.evictions += lru_.size();
-  lru_.clear();
-  index_.clear();
-  epoch_bytes_.clear();
-  resident_bytes_ = 0;
+  const auto eb = epoch_bytes_.find(leaf_epoch);
+  if (eb == epoch_bytes_.end()) return;
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    if (it->leaf_epoch != leaf_epoch) {
+      ++it;
+      continue;
+    }
+    resident_bytes_ -= it->value.size();
+    index_.erase(it->key);
+    it = lru_.erase(it);
+    ++stats_.evictions;
+  }
+  epoch_bytes_.erase(eb);
 }
 
 bool FragmentCache::Lookup(Timestamp leaf_epoch, std::string_view fragment,
-                           uint64_t generation, std::string* value) {
+                           std::string* value) {
   MutexLock lock(&mu_);
-  if (generation != generation_) {
-    ++stats_.misses;
-    return false;
-  }
-  const auto it = index_.find(MakeKey(leaf_epoch, fragment, generation));
+  const auto it = index_.find(MakeKey(leaf_epoch, fragment));
   if (it == index_.end()) {
     ++stats_.misses;
     return false;
@@ -45,13 +45,10 @@ bool FragmentCache::Lookup(Timestamp leaf_epoch, std::string_view fragment,
 }
 
 void FragmentCache::Insert(Timestamp leaf_epoch, std::string_view fragment,
-                           uint64_t generation, std::string value) {
+                           std::string value) {
   MutexLock lock(&mu_);
-  // A stale writer (captured its generation before a mutator bumped it)
-  // must not resurrect bytes of the superseded store state.
-  if (generation != generation_) return;
-  if (value.size() > byte_budget_) return;
-  std::string key = MakeKey(leaf_epoch, fragment, generation);
+  if (value.empty() || value.size() > byte_budget_) return;
+  std::string key = MakeKey(leaf_epoch, fragment);
   const auto it = index_.find(key);
   if (it != index_.end()) {
     resident_bytes_ -= it->second->value.size();
@@ -84,10 +81,8 @@ void FragmentCache::EvictFor(size_t need) {
   }
 }
 
-uint64_t FragmentCache::ResidentBytesFor(Timestamp leaf_epoch,
-                                         uint64_t generation) const {
+uint64_t FragmentCache::ResidentBytesFor(Timestamp leaf_epoch) const {
   MutexLock lock(&mu_);
-  if (generation != generation_) return 0;
   const auto it = epoch_bytes_.find(leaf_epoch);
   return it == epoch_bytes_.end() ? 0 : it->second;
 }
@@ -97,7 +92,6 @@ FragmentCacheStats FragmentCache::stats() const {
   FragmentCacheStats out = stats_;
   out.resident_bytes = resident_bytes_;
   out.resident_entries = lru_.size();
-  out.generation = generation_;
   return out;
 }
 

@@ -31,26 +31,23 @@ struct FragmentCacheStats {
   uint64_t bytes_decoded_saved = 0;
   uint64_t resident_bytes = 0;
   uint64_t resident_entries = 0;
-  uint64_t generation = 0;
 };
 
 /// Bounded, byte-budgeted LRU of *decoded leaf fragments*, keyed on
-/// (leaf epoch, fragment name, store generation). A fragment is the unit
-/// the decode path actually produces: one column chunk's plaintext for a
-/// columnar leaf ("@meta", "@spidx", "c:<attr>", "n:<attr>" — the 0xCD
-/// chunk names), or the whole decompressed row text of a row-layout leaf
-/// under the pseudo-chunk name "@row". Because the key is a fragment and
-/// not a query, partially-overlapping and later queries hit at fragment
-/// granularity where the whole-query `ResultCache` would miss.
+/// (leaf epoch, fragment name). A fragment is the unit the decode path
+/// actually produces: one column chunk's plaintext for a columnar leaf
+/// ("@meta", "@spidx", "c:<attr>", "n:<attr>" — the 0xCD chunk names), or
+/// the whole decompressed row text of a row-layout leaf under the
+/// pseudo-chunk name "@row". Because the key is a fragment and not a query,
+/// partially-overlapping and later queries hit at fragment granularity
+/// where the whole-query `ResultCache` would miss.
 ///
-/// Generations are the invalidation mechanism: every mutator that can
-/// change what a leaf's bytes decode to (`Ingest`, `Decay` evictions,
-/// `Recover`) bumps the store generation, which *eagerly drops every
-/// resident entry* — the cache invariant is that all resident fragments
-/// carry the current generation (see DESIGN.md "Shared scans & fragment
-/// cache" and the Fsck invariant-catalog discussion). The generation also
-/// rides in the key, so a stale reader holding a pre-bump generation can
-/// neither hit nor insert against the new store state.
+/// A fragment lives as long as its leaf: a leaf's bytes never change after
+/// `TemporalIndex::AddLeaf` (which accepts only strictly newer epochs), so
+/// an ingest invalidates nothing, and the decay that evicts a leaf drops its
+/// fragments through `DropLeaf`. `Recover` builds a fresh, empty cache. See
+/// DESIGN.md "Shared scans & fragment cache"; fsck's `decay-order` pass
+/// audits that no decayed leaf keeps resident bytes.
 ///
 /// Thread-safety: fully thread-safe. Rank "FragmentCache.mu"
 /// (docs/LOCK_ORDER.md) is a leaf lock — held only across the map/LRU
@@ -66,36 +63,28 @@ class FragmentCache {
   FragmentCache(const FragmentCache&) = delete;
   FragmentCache& operator=(const FragmentCache&) = delete;
 
-  /// The current store generation. Readers capture it once per scan (no
-  /// mutator can run during a scan) and pass it to `Lookup`/`Insert`.
-  uint64_t generation() const EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return generation_;
-  }
-
-  /// Advances the store generation and drops every resident entry
-  /// (invalidate-by-generation; eager, so resident bytes never serve a
-  /// superseded store state).
-  void BumpGeneration() EXCLUDES(mu_);
+  /// Drops every resident fragment of one leaf (the decay that evicted it
+  /// calls this), counting each as an eviction. Returns at once when the
+  /// leaf has nothing resident; otherwise walks the LRU.
+  void DropLeaf(Timestamp leaf_epoch) EXCLUDES(mu_);
 
   /// Copies the fragment into `*value` and returns true on a hit (which
-  /// also front-moves the entry and counts `bytes_decoded_saved`); a
-  /// generation mismatch is a miss.
+  /// also front-moves the entry and counts `bytes_decoded_saved`).
   bool Lookup(Timestamp leaf_epoch, std::string_view fragment,
-              uint64_t generation, std::string* value) EXCLUDES(mu_);
+              std::string* value) EXCLUDES(mu_);
 
-  /// Admits one decoded fragment. Silently ignored when `generation` is no
-  /// longer current (a scan that raced a mutator must not resurrect stale
-  /// bytes) or when the fragment alone exceeds the byte budget. Re-inserting
-  /// an existing key refreshes its LRU position without double-counting.
+  /// Admits one decoded fragment. Silently ignored when the fragment is
+  /// empty (it saves nothing) or alone exceeds the byte budget, so a leaf
+  /// with resident fragments always has resident bytes. Re-inserting an
+  /// existing key refreshes its LRU position without double-counting.
   void Insert(Timestamp leaf_epoch, std::string_view fragment,
-              uint64_t generation, std::string value) EXCLUDES(mu_);
+              std::string value) EXCLUDES(mu_);
 
-  /// Sum of resident fragment bytes for one leaf at `generation` — the SQL
-  /// planner's costing probe: decoded bytes the next scan of this leaf will
-  /// *not* pay (a cached fragment prices at ~0).
-  uint64_t ResidentBytesFor(Timestamp leaf_epoch, uint64_t generation) const
-      EXCLUDES(mu_);
+  /// Sum of resident fragment bytes for one leaf — the SQL planner's
+  /// costing probe (decoded bytes the next scan of this leaf will *not*
+  /// pay; a cached fragment prices at ~0) and fsck's lifetime audit (a
+  /// decayed leaf must have none).
+  uint64_t ResidentBytesFor(Timestamp leaf_epoch) const EXCLUDES(mu_);
 
   FragmentCacheStats stats() const EXCLUDES(mu_);
 
@@ -108,8 +97,7 @@ class FragmentCache {
     std::string value;
   };
 
-  static std::string MakeKey(Timestamp leaf_epoch, std::string_view fragment,
-                             uint64_t generation);
+  static std::string MakeKey(Timestamp leaf_epoch, std::string_view fragment);
 
   /// Drops LRU-tail entries until `need` more bytes fit in the budget.
   void EvictFor(size_t need) REQUIRES(mu_);
@@ -119,13 +107,13 @@ class FragmentCache {
   /// LRU/map state below; never held across I/O, decode work or another
   /// SPATE lock.
   mutable Mutex mu_{"FragmentCache.mu"};
-  uint64_t generation_ GUARDED_BY(mu_) = 0;
   /// Front = most recently used.
   std::list<Entry> lru_ GUARDED_BY(mu_);
   std::unordered_map<std::string, std::list<Entry>::iterator> index_
       GUARDED_BY(mu_);
   uint64_t resident_bytes_ GUARDED_BY(mu_) = 0;
-  /// Resident payload bytes per leaf epoch (the planner probe, O(1)).
+  /// Resident payload bytes per leaf epoch (the planner probe, O(1)); an
+  /// epoch has an entry iff it has a resident fragment.
   std::unordered_map<Timestamp, uint64_t> epoch_bytes_ GUARDED_BY(mu_);
   FragmentCacheStats stats_ GUARDED_BY(mu_);
 };
@@ -133,14 +121,13 @@ class FragmentCache {
 /// Per-scan view of a `FragmentCache` that the decode helpers thread down
 /// to the single per-chunk decode funnel (`DecodeChunk` in
 /// core/columnar_leaf.cc and the row-text materialization in
-/// core/spate_framework.cc): the cache handle, the leaf/generation to key
-/// under, and hit counters the scan folds into its `ScanStats`. A null
-/// `cache` (the default everywhere) disables caching with zero behavior
-/// change. Not thread-safe — one scope per (worker, leaf).
+/// core/spate_framework.cc): the cache handle, the leaf to key under, and
+/// hit counters the scan folds into its `ScanStats`. A null `cache` (the
+/// default everywhere) disables caching with zero behavior change. Not
+/// thread-safe — one scope per (worker, leaf).
 struct FragmentCacheScope {
   FragmentCache* cache = nullptr;
   Timestamp leaf_epoch = 0;
-  uint64_t generation = 0;
   uint64_t hits = 0;
   uint64_t bytes_saved = 0;
 };

@@ -103,9 +103,8 @@ struct PlannerLeafInfo {
   const LeafDecodeStats* stats = nullptr;
   const NodeSummary* summary = nullptr;
   /// Decoded-fragment bytes of this leaf resident in the framework's
-  /// fragment cache at the current store generation: the next scan will not
-  /// pay to decode them, so the planner prices them at ~0. Zero without a
-  /// cache.
+  /// fragment cache: the next scan will not pay to decode them, so the
+  /// planner prices them at ~0. Zero without a cache.
   uint64_t fragment_cached_bytes = 0;
 };
 

@@ -65,9 +65,8 @@ SpateFramework::SpateFramework(SpateOptions options,
         static_cast<size_t>(options_.parallelism.worker_count));
   }
   if (options_.fragment_cache_bytes > 0) {
-    // A recovered framework starts with a fresh (empty, generation-0)
-    // cache — "invalidate on Recover" for free, since both construction
-    // paths come through here.
+    // A recovered framework starts with a fresh, empty cache, since both
+    // construction paths come through here.
     fragment_cache_ =
         std::make_unique<FragmentCache>(options_.fragment_cache_bytes);
   }
@@ -306,16 +305,13 @@ Status SpateFramework::Ingest(const Snapshot& snapshot) {
     return add;
   }
 
-  // The store changed: advance the fragment-cache generation so no scan
-  // serves bytes of the pre-ingest store state.
-  if (fragment_cache_ != nullptr) fragment_cache_->BumpGeneration();
   if (options_.auto_decay) RunDecay(snapshot.epoch_start + kEpochSeconds);
   return Status::OK();
 }
 
 Status SpateFramework::DecodeLeafWith(const LeafNode& leaf,
                                       const ScanRestriction& restriction,
-                                      const DecodeContext& ctx,
+                                      ThreadPool* decode_pool,
                                       DecodedLeaf* out) const {
   if (leaf.decayed) {
     return Status::NotFound("leaf decayed: " + leaf.dfs_path);
@@ -325,9 +321,9 @@ Status SpateFramework::DecodeLeafWith(const LeafNode& leaf,
   // decoded bytes. Columnar leaves cache per chunk instead — their "@row"
   // probe always misses.
   std::string text;
-  if (ctx.fragment_cache != nullptr &&
-      ctx.fragment_cache->Lookup(leaf.epoch_start, kRowFragmentName,
-                                 ctx.fragment_generation, &text)) {
+  FragmentCache* const cache = fragment_cache_.get();
+  if (cache != nullptr &&
+      cache->Lookup(leaf.epoch_start, kRowFragmentName, &text)) {
     ++out->fragment_hits;
     out->fragment_bytes_saved += text.size();
   } else {
@@ -337,8 +333,7 @@ Status SpateFramework::DecodeLeafWith(const LeafNode& leaf,
       // call for (every chunk for an unrestricted scan), and with a cell
       // restriction only the matching rows, straight into the snapshot.
       // The fragment scope serves/admits individual chunk plaintexts.
-      FragmentCacheScope fragments{ctx.fragment_cache, leaf.epoch_start,
-                                   ctx.fragment_generation, 0, 0};
+      FragmentCacheScope fragments{cache, leaf.epoch_start, 0, 0};
       const Status status = DecodeColumnarLeaf(
           blob, restriction.cdr, restriction.nms, restriction.wanted_cells(),
           &out->snapshot, &out->bytes_decoded, &fragments);
@@ -347,13 +342,12 @@ Status SpateFramework::DecodeLeafWith(const LeafNode& leaf,
       return status;
     }
     // Row leaf (plain or chunked blob); chunk parts may decode on the pool,
-    // unless this context belongs to a scan worker that is itself one arm
-    // of a fan-out (then decode_pool is null — no nested fan-out).
-    SPATE_RETURN_IF_ERROR(ChunkedDecompress(blob, ctx.decode_pool, &text));
+    // unless the caller is a scan worker that is itself one arm of a
+    // fan-out (then decode_pool is null — no nested fan-out).
+    SPATE_RETURN_IF_ERROR(ChunkedDecompress(blob, decode_pool, &text));
     out->bytes_decoded += text.size();
-    if (ctx.fragment_cache != nullptr) {
-      ctx.fragment_cache->Insert(leaf.epoch_start, kRowFragmentName,
-                                 ctx.fragment_generation, text);
+    if (cache != nullptr) {
+      cache->Insert(leaf.epoch_start, kRowFragmentName, text);
     }
   }
   if (!restriction.restricted()) return ParseSnapshot(text, &out->snapshot);
@@ -375,17 +369,16 @@ size_t SpateFramework::RunDecay(const DecayPolicy& policy, Timestamp now) {
       [this](const LeafNode& leaf) {
         // Decay deletions are idempotent; an already-absent file is fine.
         (void)dfs_->DeleteFile(leaf.dfs_path);
+        // The leaf's decoded raw rows go with its blob.
+        if (fragment_cache_ != nullptr) {
+          fragment_cache_->DropLeaf(leaf.epoch_start);
+        }
       },
       [this](const DayNode& day) {
         // Second decay stage: the persisted day summary goes too.
         (void)dfs_->DeleteFile("/spate/index/day/" +
                                FormatCompact(day.day_start).substr(0, 8));
       });
-  // Evictions changed what the store can decode: invalidate by generation
-  // (a no-op decay leaves the cache and its generation alone).
-  if (evicted > 0 && fragment_cache_ != nullptr) {
-    fragment_cache_->BumpGeneration();
-  }
   return evicted;
 }
 
@@ -497,18 +490,13 @@ Status SpateFramework::ScanLeaves(
   // at a time (capping the simultaneously materialized snapshots) across
   // the pool: workers take contiguous leaf ranges with no nested fan-out,
   // and stats are only touched in the fold — no hot-path atomics, and the
-  // fold order (hence the stats) is identical to the serial path's. The
-  // store generation is captured once: no mutator runs during a scan.
+  // fold order (hence the stats) is identical to the serial path's.
   const bool parallel =
       pool_ != nullptr && scan_leaves.size() >= kMinParallelLeaves;
   const size_t batch =
       parallel ? static_cast<size_t>(options_.parallelism.worker_count) * 4
                : 1;
-  const DecodeContext decode{parallel ? nullptr : pool_.get(),
-                             fragment_cache_.get(),
-                             fragment_cache_ != nullptr
-                                 ? fragment_cache_->generation()
-                                 : 0};
+  ThreadPool* const decode_pool = parallel ? nullptr : pool_.get();
   for (size_t base = 0; base < scan_leaves.size(); base += batch) {
     // Cancellation between batches on the calling thread; workers also poll
     // per leaf, so a mid-batch expiry stops further decodes and surfaces
@@ -524,7 +512,7 @@ Status SpateFramework::ScanLeaves(
           if (!slots[i].status.ok()) continue;  // skip decode, fold aborts
         }
         slots[i].status =
-            DecodeLeafWith(*scan_leaves[base + i], restriction, decode,
+            DecodeLeafWith(*scan_leaves[base + i], restriction, decode_pool,
                            &slots[i]);
       }
     };
@@ -564,14 +552,12 @@ PlannerStatistics SpateFramework::CollectPlannerStatistics(
   const std::vector<const LeafNode*> leaves =
       index_.LeavesInWindow(begin, end);
   stats.leaves.reserve(leaves.size());
-  const uint64_t generation =
-      fragment_cache_ != nullptr ? fragment_cache_->generation() : 0;
   for (const LeafNode* leaf : leaves) {
     PlannerLeafInfo info{leaf->epoch_start, &leaf->decode_stats,
                          &leaf->summary, 0};
     if (fragment_cache_ != nullptr) {
       info.fragment_cached_bytes =
-          fragment_cache_->ResidentBytesFor(leaf->epoch_start, generation);
+          fragment_cache_->ResidentBytesFor(leaf->epoch_start);
     }
     stats.leaves.push_back(info);
   }

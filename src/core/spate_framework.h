@@ -84,9 +84,9 @@ struct SpateOptions {
 
   /// Byte budget of the decoded-fragment cache (core/fragment_cache.h):
   /// scans serve column chunks / row texts they already decoded from
-  /// memory, keyed (leaf epoch, chunk name, store generation), and
-  /// `Ingest`/`RunDecay` evictions/`Recover` invalidate by bumping the
-  /// generation. 0 (the default) disables the cache entirely — every
+  /// memory, keyed (leaf epoch, chunk name). A fragment lives as long as
+  /// its leaf: the decay that evicts the leaf drops it, and `Recover`
+  /// starts empty. 0 (the default) disables the cache entirely — every
   /// existing byte-accounting expectation holds unchanged. Results are
   /// identical either way; only `ScanStats::bytes_decoded` (and its
   /// `fragment_hits`/`bytes_decoded_saved` counters) move.
@@ -217,33 +217,23 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
   ThreadPool* pool() { return pool_.get(); }
 
   /// The decoded-fragment cache (nullptr when `fragment_cache_bytes == 0`).
-  /// Mutators (`Ingest`, decay evictions, `Recover`) bump its generation,
-  /// dropping every resident fragment; scans consult and feed it below the
-  /// decode funnel. Exposed for stats surfacing (`spate_cli scan-stats`,
-  /// the serving tier) and the planner probe.
+  /// Scans consult and feed it below the decode funnel; `RunDecay` drops
+  /// the fragments of each leaf it evicts, and nothing else invalidates.
+  /// Exposed for stats surfacing (`spate_cli scan-stats`, the serving
+  /// tier), the planner probe and fsck's lifetime audit.
   FragmentCache* fragment_cache() const { return fragment_cache_.get(); }
 
   /// Deep cross-layer verifier (`spate_cli fsck`): replica integrity and
   /// replication factor on the DFS, container framing and decodability of
   /// every stored blob, index shape, highlight roll-up consistency and
-  /// decay monotonicity. See src/check/fsck.h for the invariant catalog.
+  /// decay monotonicity (which includes no decayed leaf keeping cached
+  /// fragments). See src/check/fsck.h for the invariant catalog.
   /// Defined in the `spate_check` library — link it to call this.
   check::FsckReport Fsck() const;
 
  private:
   /// DFS path of the raw (compressed) snapshot for an epoch.
   static std::string LeafPath(Timestamp epoch_start);
-
-  /// Scan-local leaf-decode state: the pool — if any — that chunked
-  /// single-blob decodes may fan out on (null for the workers of a parallel
-  /// scan: fan out across leaves OR across chunk parts, never both nested),
-  /// and the fragment cache with the store generation captured at scan
-  /// start (no mutator runs during a scan, so it is stable); null disables.
-  struct DecodeContext {
-    ThreadPool* decode_pool = nullptr;
-    FragmentCache* fragment_cache = nullptr;
-    uint64_t fragment_generation = 0;
-  };
 
   /// One leaf as a scan decoded it, folded into `ScanStats` in leaf order.
   struct DecodedLeaf {
@@ -259,12 +249,15 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
   /// Decodes one leaf into `out` per `restriction`. Columnar blobs decode
   /// exactly the chunks the restriction calls for, straight into the
   /// snapshot; row blobs decompress their full text (cached whole under
-  /// "@row"), parse it and restrict in memory. Touches nothing but `out`,
-  /// the (thread-safe) DFS and fragment cache, so concurrent scans and
-  /// their workers call it freely.
+  /// "@row"), parse it and restrict in memory. `decode_pool` (may be null)
+  /// is where a row blob's chunk parts may fan out — null for the workers
+  /// of a parallel scan, which fans out across leaves OR across chunk
+  /// parts, never both nested. Touches nothing but `out`, the (thread-safe)
+  /// DFS and fragment cache, so concurrent scans and their workers call it
+  /// freely.
   Status DecodeLeafWith(const LeafNode& leaf,
                         const ScanRestriction& restriction,
-                        const DecodeContext& ctx, DecodedLeaf* out) const;
+                        ThreadPool* decode_pool, DecodedLeaf* out) const;
 
   /// The one scan funnel: decodes every leaf in `leaves` per `restriction`
   /// and hands each snapshot to `fn` on the calling thread, in timestamp
@@ -294,9 +287,9 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
   RecoveryReport recovery_report_;
   Timestamp last_day_persisted_ = -1;
   /// Decoded-fragment cache (null when `fragment_cache_bytes == 0`). The
-  /// cache object is internally synchronized; the generation discipline —
-  /// bump on every mutator, capture once per scan — follows the
-  /// framework's external synchronization.
+  /// cache object is internally synchronized; `RunDecay` drops an evicted
+  /// leaf's fragments before any later scan can run, per the framework's
+  /// external synchronization.
   std::unique_ptr<FragmentCache> fragment_cache_;
 };
 

@@ -217,11 +217,11 @@ Result<QueryPlan> PlanSelect(Framework& framework,
   for (const PlannerLeafInfo& leaf : stats.leaves) {
     const LeafDecodeStats& ds = *leaf.stats;
     // Fragment-cache discount: decoded bytes of this leaf resident in the
-    // framework's fragment cache (at the current generation) will not be
-    // produced again, so a cached fragment prices at ~0. Saturating — the
-    // resident bytes can exceed a *projected* decode's cost (the cache may
-    // hold columns this query does not read). Zero without a cache, so
-    // every cost below is byte-for-byte the pre-cache prediction.
+    // framework's fragment cache will not be produced again, so a cached
+    // fragment prices at ~0. Saturating — the resident bytes can exceed a
+    // *projected* decode's cost (the cache may hold columns this query does
+    // not read). Zero without a cache, so every cost below is byte-for-byte
+    // the pre-cache prediction.
     const uint64_t cached = leaf.fragment_cached_bytes;
     auto discounted = [cached](uint64_t cost) {
       return cost > cached ? cost - cached : 0;

@@ -232,6 +232,37 @@ TEST(FsckTest, DecayOrderViolationIsClassified) {
   EXPECT_TRUE(report.Detected(check::kDecayOrder)) << report.ToString();
 }
 
+// A decoded fragment lives as long as its leaf: decay drops the evicted
+// leaves' fragments, and fsck flags a decayed leaf that still has some.
+TEST(FsckTest, DecayedLeafWithCachedFragmentsIsClassified) {
+  SpateOptions options;
+  options.fragment_cache_bytes = 32 << 20;
+  const TraceConfig trace = SmallTrace();
+  auto spate = BuildStore(options, trace);
+  ExplorationQuery day;
+  day.window_begin = trace.start;
+  day.window_end = trace.start + 86400;
+  ASSERT_TRUE(spate->Execute(day).ok());
+  FragmentCache* cache = spate->fragment_cache();
+  ASSERT_GT(cache->ResidentBytesFor(trace.start), 0u);
+
+  DecayPolicy policy;
+  policy.full_resolution_seconds = 43200;  // keep half the day
+  const Timestamp now = spate->index().newest_epoch() + kEpochSeconds;
+  ASSERT_GT(spate->RunDecay(policy, now), 0u);
+  const check::FsckReport warm = spate->Fsck();
+  EXPECT_TRUE(warm.clean()) << warm.ToString();
+
+  // Plant decoded rows for the first (decayed) leaf.
+  cache->Insert(trace.start, kRowFragmentName, "rows of a decayed leaf");
+  const check::FsckReport report = spate->Fsck();
+  const std::vector<const check::FsckViolation*> violations =
+      report.ViolationsFor(check::kDecayOrder);
+  ASSERT_EQ(violations.size(), 1u) << report.ToString();
+  EXPECT_EQ(violations[0]->object, "leaf " + FormatCompact(trace.start));
+  EXPECT_EQ(report.violations.size(), 1u) << report.ToString();
+}
+
 // --- Standalone DFS verifier (no framework). ---
 
 TEST(FsckTest, VerifyDfsStandaloneClassifiesAndClears) {

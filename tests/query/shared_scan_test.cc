@@ -120,74 +120,83 @@ ExplorationQuery RandomQuery(Rng* rng, const TraceConfig& config,
 
 TEST(FragmentCacheTest, ByteBudgetEvictsInLruOrder) {
   FragmentCache cache(100);
-  const uint64_t gen = cache.generation();
-  cache.Insert(0, "a", gen, std::string(40, 'a'));
-  cache.Insert(0, "b", gen, std::string(40, 'b'));
+  cache.Insert(0, "a", std::string(40, 'a'));
+  cache.Insert(0, "b", std::string(40, 'b'));
   std::string value;
   // Touch "a" so "b" is the LRU tail when the next insert needs room.
-  ASSERT_TRUE(cache.Lookup(0, "a", gen, &value));
-  cache.Insert(0, "c", gen, std::string(40, 'c'));
-  EXPECT_TRUE(cache.Lookup(0, "a", gen, &value));
-  EXPECT_FALSE(cache.Lookup(0, "b", gen, &value));
-  EXPECT_TRUE(cache.Lookup(0, "c", gen, &value));
+  ASSERT_TRUE(cache.Lookup(0, "a", &value));
+  cache.Insert(0, "c", std::string(40, 'c'));
+  EXPECT_TRUE(cache.Lookup(0, "a", &value));
+  EXPECT_FALSE(cache.Lookup(0, "b", &value));
+  EXPECT_TRUE(cache.Lookup(0, "c", &value));
   const FragmentCacheStats stats = cache.stats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_LE(stats.resident_bytes, 100u);
   EXPECT_EQ(stats.resident_entries, 2u);
 }
 
-TEST(FragmentCacheTest, GenerationBumpDropsEverything) {
+TEST(FragmentCacheTest, DropLeafDropsOnlyThatLeaf) {
   FragmentCache cache(1 << 20);
-  const uint64_t old_gen = cache.generation();
-  cache.Insert(0, "a", old_gen, "payload");
-  cache.BumpGeneration();
-  EXPECT_EQ(cache.generation(), old_gen + 1);
-  EXPECT_EQ(cache.stats().resident_entries, 0u);
-  EXPECT_EQ(cache.stats().resident_bytes, 0u);
+  cache.Insert(0, "a", std::string(10, 'a'));
+  cache.Insert(0, "b", std::string(20, 'b'));
+  cache.Insert(3600, "a", std::string(5, 'c'));
+  // An empty fragment saves nothing and is not admitted, so a leaf with
+  // resident fragments always has resident bytes for DropLeaf to find.
+  cache.Insert(7200, "empty", "");
+  EXPECT_EQ(cache.stats().resident_entries, 3u);
+
+  cache.DropLeaf(0);
   std::string value;
-  // Neither the old generation's key nor the new one hits.
-  EXPECT_FALSE(cache.Lookup(0, "a", old_gen, &value));
-  EXPECT_FALSE(cache.Lookup(0, "a", cache.generation(), &value));
-  // A stale writer (raced by a mutator) cannot resurrect old bytes.
-  cache.Insert(0, "b", old_gen, "stale");
-  EXPECT_EQ(cache.stats().resident_entries, 0u);
-  EXPECT_FALSE(cache.Lookup(0, "b", old_gen, &value));
+  EXPECT_FALSE(cache.Lookup(0, "a", &value));
+  EXPECT_FALSE(cache.Lookup(0, "b", &value));
+  ASSERT_TRUE(cache.Lookup(3600, "a", &value));
+  EXPECT_EQ(value, std::string(5, 'c'));
+  FragmentCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.resident_bytes, 5u);
+  EXPECT_EQ(stats.resident_entries, 1u);
+  EXPECT_EQ(stats.evictions, 2u);
+  EXPECT_EQ(cache.ResidentBytesFor(0), 0u);
+  EXPECT_EQ(cache.ResidentBytesFor(3600), 5u);
+
+  // Dropping a leaf with nothing resident changes nothing.
+  cache.DropLeaf(0);
+  cache.DropLeaf(7200);
+  stats = cache.stats();
+  EXPECT_EQ(stats.resident_bytes, 5u);
+  EXPECT_EQ(stats.evictions, 2u);
 }
 
 TEST(FragmentCacheTest, OversizeFragmentIsNotAdmitted) {
   FragmentCache cache(16);
-  const uint64_t gen = cache.generation();
-  cache.Insert(0, "small", gen, "1234");
-  cache.Insert(0, "huge", gen, std::string(64, 'x'));
+  cache.Insert(0, "small", "1234");
+  cache.Insert(0, "huge", std::string(64, 'x'));
   std::string value;
-  EXPECT_FALSE(cache.Lookup(0, "huge", gen, &value));
+  EXPECT_FALSE(cache.Lookup(0, "huge", &value));
   // The oversize reject must not have evicted the resident entry either.
-  EXPECT_TRUE(cache.Lookup(0, "small", gen, &value));
+  EXPECT_TRUE(cache.Lookup(0, "small", &value));
 }
 
 TEST(FragmentCacheTest, ReinsertRefreshesWithoutDoubleCounting) {
   FragmentCache cache(1 << 20);
-  const uint64_t gen = cache.generation();
-  cache.Insert(3600, "a", gen, "0123456789");
+  cache.Insert(3600, "a", "0123456789");
   const uint64_t resident = cache.stats().resident_bytes;
-  cache.Insert(3600, "a", gen, "0123456789");
+  cache.Insert(3600, "a", "0123456789");
   EXPECT_EQ(cache.stats().resident_bytes, resident);
   EXPECT_EQ(cache.stats().resident_entries, 1u);
 }
 
 TEST(FragmentCacheTest, ResidentBytesForTracksPerLeafTotals) {
   FragmentCache cache(1 << 20);
-  const uint64_t gen = cache.generation();
-  cache.Insert(0, "a", gen, std::string(10, 'a'));
-  cache.Insert(0, "b", gen, std::string(20, 'b'));
-  cache.Insert(3600, "a", gen, std::string(5, 'c'));
-  EXPECT_EQ(cache.ResidentBytesFor(0, gen), 30u);
-  EXPECT_EQ(cache.ResidentBytesFor(3600, gen), 5u);
-  EXPECT_EQ(cache.ResidentBytesFor(7200, gen), 0u);
-  // A stale-generation probe prices nothing as cached.
-  EXPECT_EQ(cache.ResidentBytesFor(0, gen + 1), 0u);
-  cache.BumpGeneration();
-  EXPECT_EQ(cache.ResidentBytesFor(0, cache.generation()), 0u);
+  cache.Insert(0, "a", std::string(10, 'a'));
+  cache.Insert(0, "b", std::string(20, 'b'));
+  cache.Insert(3600, "a", std::string(5, 'c'));
+  EXPECT_EQ(cache.ResidentBytesFor(0), 30u);
+  EXPECT_EQ(cache.ResidentBytesFor(3600), 5u);
+  EXPECT_EQ(cache.ResidentBytesFor(7200), 0u);
+  // A dropped leaf prices nothing as cached; the others keep their totals.
+  cache.DropLeaf(0);
+  EXPECT_EQ(cache.ResidentBytesFor(0), 0u);
+  EXPECT_EQ(cache.ResidentBytesFor(3600), 5u);
 }
 
 // ---------------------------------------------------------------------------
@@ -241,35 +250,43 @@ TEST(FragmentCacheFrameworkTest, RowLeavesCacheTheirMaterializedText) {
   ExpectSameResult(*first, *second, "warm row rescan");
 }
 
-TEST(FragmentCacheFrameworkTest, IngestInvalidatesByGeneration) {
+TEST(FragmentCacheFrameworkTest, IngestKeepsFragmentsAndDecayDropsEvicted) {
   TraceGenerator gen(SharedTrace());
   const std::vector<Timestamp> epochs = gen.EpochStarts();
   auto framework =
-      IngestTrace(gen, StoreOptions(LeafLayout::kColumnar, 32 << 20), 6);
+      IngestTrace(gen, StoreOptions(LeafLayout::kRow, 32 << 20), 8);
   ExplorationQuery query;
-  query.window_begin = gen.config().start;
-  query.window_end = gen.config().start + 6 * kEpochSeconds;
+  query.window_begin = epochs[0];
+  query.window_end = epochs[0] + 8 * kEpochSeconds;
   ASSERT_TRUE(framework->Execute(query).ok());
   const FragmentCache* cache = framework->fragment_cache();
   ASSERT_NE(cache, nullptr);
-  const uint64_t warm_gen = cache->generation();
-  ASSERT_GT(cache->stats().resident_bytes, 0u);
+  const FragmentCacheStats warm = cache->stats();
+  ASSERT_EQ(warm.resident_entries, 8u);
 
-  // Any mutator bumps the generation and eagerly drops every resident
-  // fragment — the invariant Fsck's catalog discussion leans on.
-  ASSERT_TRUE(framework->Ingest(gen.GenerateSnapshot(epochs[6])).ok());
-  EXPECT_EQ(cache->generation(), warm_gen + 1);
-  EXPECT_EQ(cache->stats().resident_bytes, 0u);
-  EXPECT_EQ(cache->stats().resident_entries, 0u);
-
-  // Post-invalidation scans are correct (and refill at the new generation).
-  auto uncached = IngestTrace(gen, StoreOptions(LeafLayout::kColumnar, 0), 7);
-  auto expected = uncached->Execute(query);
+  // A leaf's bytes never change after AddLeaf, so an ingest drops no
+  // fragment: the rescan decodes nothing and matches an uncached store.
+  ASSERT_TRUE(framework->Ingest(gen.GenerateSnapshot(epochs[8])).ok());
+  EXPECT_EQ(cache->stats().resident_bytes, warm.resident_bytes);
   auto actual = framework->Execute(query);
-  ASSERT_TRUE(expected.ok());
   ASSERT_TRUE(actual.ok());
-  ExpectSameResult(*expected, *actual, "post-invalidation rescan");
-  EXPECT_GT(cache->stats().resident_bytes, 0u);
+  const ScanStats rescan = framework->last_scan_stats();
+  EXPECT_EQ(rescan.bytes_decoded, 0u);
+  EXPECT_EQ(rescan.fragment_hits, 8u);
+  auto uncached = IngestTrace(gen, StoreOptions(LeafLayout::kRow, 0), 9);
+  auto expected = uncached->Execute(query);
+  ASSERT_TRUE(expected.ok());
+  ExpectSameResult(*expected, *actual, "rescan after ingest");
+
+  // A decay drops the fragments of exactly the leaves it evicts.
+  constexpr size_t kEvicted = 3;
+  DecayPolicy policy;
+  policy.full_resolution_seconds = (9 - kEvicted) * kEpochSeconds;
+  ASSERT_EQ(framework->RunDecay(policy, epochs[8] + kEpochSeconds), kEvicted);
+  for (size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(cache->ResidentBytesFor(epochs[i]) > 0, i >= kEvicted) << i;
+  }
+  EXPECT_EQ(cache->stats().evictions, warm.evictions + kEvicted);
 }
 
 // ---------------------------------------------------------------------------
@@ -687,12 +704,25 @@ TEST(SharedScanServeTest, MultiWorkerShardsMatchSingleWorker) {
         shard.scheduler.passes_started + shard.scheduler.shared_pass_joins;
   }
   EXPECT_GT(scheduled, 0u);
-  // A fresh query shape (misses the whole-result cache) over leaves the
-  // batch already decoded must hit resident fragments — and still match the
-  // serial server exactly.
+  // The feed moves on. A fresh query shape — no cached answer covers its
+  // 9-epoch window, so it misses the whole-result cache — over leaves the
+  // batch already decoded must still hit their resident fragments (an
+  // ingest invalidates none) and match the serial server exactly.
+  const Timestamp next_epoch = gen.EpochStarts()[epochs.size()];
+  ASSERT_TRUE(serial.Ingest(gen.GenerateSnapshot(next_epoch)).ok());
+  ASSERT_TRUE(shared.Ingest(gen.GenerateSnapshot(next_epoch)).ok());
+  auto shard_totals = [&shared] {
+    ShardStats total;
+    for (const ShardStats& shard : shared.Stats().shards) {
+      total.cache.hits += shard.cache.hits;
+      total.fragments.fragment_hits += shard.fragments.fragment_hits;
+    }
+    return total;
+  };
+  const ShardStats before = shard_totals();
   ServeRequest fresh;
-  fresh.query.window_begin = epochs[1];
-  fresh.query.window_end = epochs[4];
+  fresh.query.window_begin = epochs[0];
+  fresh.query.window_end = epochs[9];
   fresh.query.attributes = {"ts", "upflux"};
   const ServeResponse fresh_reference = serial.Query(fresh);
   const ServeResponse fresh_response = shared.Query(fresh);
@@ -702,11 +732,9 @@ TEST(SharedScanServeTest, MultiWorkerShardsMatchSingleWorker) {
             sorted(fresh_reference.result.cdr_rows));
   EXPECT_EQ(sorted(fresh_response.result.nms_rows),
             sorted(fresh_reference.result.nms_rows));
-  uint64_t fragment_hits = 0;
-  for (const ShardStats& shard : shared.Stats().shards) {
-    fragment_hits += shard.fragments.fragment_hits;
-  }
-  EXPECT_GT(fragment_hits, 0u);
+  const ShardStats after = shard_totals();
+  EXPECT_EQ(after.cache.hits, before.cache.hits);
+  EXPECT_GT(after.fragments.fragment_hits, before.fragments.fragment_hits);
 }
 
 }  // namespace
