@@ -71,6 +71,15 @@ void DriveFixedAndPrefixed(spate::Slice input) {
       __builtin_trap();
     }
   }
+  if (input.size() >= 8) {
+    const auto* p = reinterpret_cast<const unsigned char*>(input.data());
+    spate::Slice le(input.data(), 8);
+    uint64_t fixed = 0;
+    // Likewise LoadLe64 and GetFixed64.
+    if (!spate::GetFixed64(&le, &fixed) || spate::LoadLe64(p) != fixed) {
+      __builtin_trap();
+    }
+  }
 }
 
 void DriveBitReader(spate::Slice input) {

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/check.h"
+#include "common/coding.h"
 #include "common/slice.h"
 
 namespace spate {
@@ -62,13 +63,28 @@ class BitReader {
   /// end of input yields zero bits (not an error until actually consumed).
   uint64_t PeekBits(int count) {
     SPATE_DCHECK(count >= 0 && count <= 57);
-    while (filled_ < count) {
-      uint64_t byte = 0;
-      if (pos_ < input_.size()) {
-        byte = static_cast<unsigned char>(input_[pos_++]);
+    if (filled_ < count) {
+      if (input_.size() - pos_ >= 8) {
+        // Word refill: OR in 8 bytes and count the whole bytes that fit
+        // (at least 57 bits buffered afterwards). Bits of the next byte
+        // that land above `filled_` are that byte's own bits, so the next
+        // refill ORs the same values over them.
+        acc_ |= LoadLe64(reinterpret_cast<const unsigned char*>(
+                    input_.data() + pos_))
+                << filled_;
+        const int bytes = (64 - filled_) >> 3;
+        pos_ += bytes;
+        filled_ += bytes * 8;
+      } else {
+        while (filled_ < count) {
+          uint64_t byte = 0;
+          if (pos_ < input_.size()) {
+            byte = static_cast<unsigned char>(input_[pos_++]);
+          }
+          acc_ |= byte << filled_;
+          filled_ += 8;
+        }
       }
-      acc_ |= byte << filled_;
-      filled_ += 8;
     }
     return acc_ & ((count >= 64) ? ~0ull : ((1ull << count) - 1));
   }

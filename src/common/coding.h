@@ -36,6 +36,13 @@ inline uint32_t LoadLe32(const unsigned char* p) {
          (static_cast<uint32_t>(p[3]) << 24);
 }
 
+/// Reads 8 bytes at `p` as a little-endian uint64, under the same contract
+/// as LoadLe32: the caller guarantees 8 readable bytes.
+inline uint64_t LoadLe64(const unsigned char* p) {
+  return static_cast<uint64_t>(LoadLe32(p)) |
+         (static_cast<uint64_t>(LoadLe32(p + 4)) << 32);
+}
+
 inline bool GetFixed32(Slice* input, uint32_t* value) {
   if (input->size() < 4) return false;
   memcpy(value, input->data(), 4);

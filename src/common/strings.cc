@@ -7,16 +7,16 @@
 
 namespace spate {
 
-std::vector<std::string_view> SplitString(std::string_view input, char sep) {
-  std::vector<std::string_view> out;
+void SplitString(std::string_view input, char sep,
+                 std::vector<std::string>* out) {
   size_t start = 0;
-  for (size_t i = 0; i <= input.size(); ++i) {
-    if (i == input.size() || input[i] == sep) {
-      out.push_back(input.substr(start, i - start));
+  for (size_t i = 0; i < input.size(); ++i) {
+    if (input[i] == sep) {
+      out->emplace_back(input.substr(start, i - start));
       start = i + 1;
     }
   }
-  return out;
+  out->emplace_back(input.substr(start));
 }
 
 std::string JoinStrings(const std::vector<std::string>& parts, char sep) {

@@ -8,8 +8,11 @@
 
 namespace spate {
 
-/// Splits `input` on `sep`, keeping empty fields (CSV semantics).
-std::vector<std::string_view> SplitString(std::string_view input, char sep);
+/// Splits `input` on `sep`, keeping empty fields (CSV semantics), and
+/// appends each field to `*out` in one pass. An empty `input` is one empty
+/// field.
+void SplitString(std::string_view input, char sep,
+                 std::vector<std::string>* out);
 
 /// Joins `parts` with `sep`.
 std::string JoinStrings(const std::vector<std::string>& parts, char sep);

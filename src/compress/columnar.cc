@@ -1,6 +1,7 @@
 #include "compress/columnar.h"
 
 #include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -109,8 +110,8 @@ Status ColumnarReader::Open(Slice blob, ColumnarReader* reader) {
   std::vector<ChunkRef> chunks(static_cast<size_t>(num_chunks));
   uint64_t total = 0;
   std::vector<uint64_t> sizes(chunks.size());
-  std::unordered_set<std::string_view> seen_names;
-  seen_names.reserve(chunks.size());
+  std::unordered_map<std::string_view, size_t> index;
+  index.reserve(chunks.size());
   for (size_t i = 0; i < chunks.size(); ++i) {
     Slice name;
     if (!GetLengthPrefixed(&input, &name)) {
@@ -119,7 +120,7 @@ Status ColumnarReader::Open(Slice blob, ColumnarReader* reader) {
     chunks[i].name = name.ToStringView();
     // Two directory entries with one name would make `Find`-routed reads
     // ambiguous (and give hostile bytes a shadowing primitive): reject.
-    if (!seen_names.insert(chunks[i].name).second) {
+    if (!index.emplace(chunks[i].name, i).second) {
       return Status::Corruption("columnar: duplicate chunk name '" +
                                 std::string(chunks[i].name) + "'");
     }
@@ -147,15 +148,14 @@ Status ColumnarReader::Open(Slice blob, ColumnarReader* reader) {
     offset += static_cast<size_t>(sizes[i]);
   }
   reader->chunks_ = std::move(chunks);
+  reader->index_ = std::move(index);
   return Status::OK();
 }
 
 const ColumnarReader::ChunkRef* ColumnarReader::Find(
     std::string_view name) const {
-  for (const ChunkRef& chunk : chunks_) {
-    if (chunk.name == name) return &chunk;
-  }
-  return nullptr;
+  const auto it = index_.find(name);
+  return it == index_.end() ? nullptr : &chunks_[it->second];
 }
 
 Status ColumnarReader::Decode(const ChunkRef& chunk, std::string* data) {

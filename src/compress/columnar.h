@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/slice.h"
@@ -97,6 +98,7 @@ class ColumnarReader {
   const std::vector<ChunkRef>& chunks() const { return chunks_; }
 
   /// The chunk named `name`, or nullptr (names are unique per container).
+  /// A hash lookup, so a full-width decode stays linear in the chunk count.
   const ChunkRef* Find(std::string_view name) const;
 
   /// Decompresses one chunk, appending the original bytes to `*data`.
@@ -106,6 +108,8 @@ class ColumnarReader {
 
  private:
   std::vector<ChunkRef> chunks_;
+  // Name -> position in `chunks_`; the names point into the blob.
+  std::unordered_map<std::string_view, size_t> index_;
 };
 
 /// Structural verification for `spate::check`'s fsck: validates the

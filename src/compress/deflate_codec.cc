@@ -84,6 +84,105 @@ void EncodeBlock(const std::vector<LzToken>& tokens, const Block& block,
   lit_enc.Encode(writer, kEob);
 }
 
+/// Decodes `payload` onto the end of `*output`, writing through a pointer
+/// into the string's own storage. `original_size` is untrusted until the
+/// CRC verifies, so the buffer starts at min(original_size,
+/// kMaxUntrustedReserve) and doubles as output arrives, never past the
+/// recorded size; a literal or match that would write past it fails at the
+/// write. On success `*output` ends exactly at the last decoded byte; on
+/// failure its tail is unspecified and the caller truncates it.
+Status Inflate(Slice payload, uint64_t original_size, std::string* output) {
+  const size_t offset = output->size();
+  if (original_size == 0) return Status::OK();
+  const size_t limit = offset + static_cast<size_t>(original_size);
+  output->resize(offset + static_cast<size_t>(std::min<uint64_t>(
+                              original_size, kMaxUntrustedReserve)));
+  char* base = output->data();
+  size_t end = output->size();  // allocated end, never past `limit`
+  size_t pos = offset;          // next write
+  // Makes room for `n` more bytes, given pos + n <= limit.
+  auto grow = [&](size_t n) {
+    end = offset + std::min(limit - offset,
+                            std::max(2 * (end - offset), pos + n - offset));
+    output->resize(end);
+    base = output->data();
+  };
+
+  BitReader reader(payload);
+  std::vector<uint8_t> lit_lengths, dist_lengths;
+  HuffmanDecoder lit_dec, dist_dec;
+  bool final_block = false;
+  while (!final_block) {
+    final_block = reader.ReadBit();
+    SPATE_RETURN_IF_ERROR(
+        ReadCodeLengths(&reader, kLitLenSymbols, &lit_lengths));
+    SPATE_RETURN_IF_ERROR(
+        ReadCodeLengths(&reader, kNumDistSlots, &dist_lengths));
+    SPATE_RETURN_IF_ERROR(lit_dec.Init(lit_lengths));
+    // A block with no matches has an empty distance alphabet.
+    bool has_dists = false;
+    for (uint8_t l : dist_lengths) has_dists |= (l != 0);
+    if (has_dists) SPATE_RETURN_IF_ERROR(dist_dec.Init(dist_lengths));
+
+    for (;;) {
+      const int32_t sym = lit_dec.Decode(&reader);
+      if (sym < 0 || reader.overflowed()) {
+        return Status::Corruption("deflate: malformed symbol stream");
+      }
+      if (sym < 256) {
+        if (pos == end) {
+          if (end == limit) {
+            return Status::Corruption("deflate: output overruns recorded size");
+          }
+          grow(1);
+        }
+        base[pos++] = static_cast<char>(sym);
+        continue;
+      }
+      if (sym == kEob) break;
+      const int lslot = sym - 257;
+      if (lslot >= kNumLengthSlots) {
+        return Status::Corruption("deflate: bad length slot");
+      }
+      const uint32_t length =
+          kLengthBase[lslot] +
+          static_cast<uint32_t>(reader.ReadBits(kLengthExtraBits[lslot]));
+      if (!has_dists) {
+        return Status::Corruption("deflate: match without distance table");
+      }
+      const int32_t dslot = dist_dec.Decode(&reader);
+      if (dslot < 0 || dslot >= kNumDistSlots) {
+        return Status::Corruption("deflate: bad distance slot");
+      }
+      const uint32_t distance =
+          kDistBase[dslot] +
+          static_cast<uint32_t>(reader.ReadBits(kDistExtraBits[dslot]));
+      if (distance > pos - offset) {
+        return Status::Corruption("deflate: distance before stream start");
+      }
+      if (length > limit - pos) {
+        return Status::Corruption("deflate: output overruns recorded size");
+      }
+      if (length > end - pos) grow(length);
+      char* dst = base + pos;
+      const char* src = dst - distance;
+      if (distance >= length) {
+        std::copy_n(src, length, dst);
+      } else {
+        // Overlapping: each byte may be one this match just wrote, so copy
+        // forward one byte at a time.
+        for (uint32_t i = 0; i < length; ++i) dst[i] = src[i];
+      }
+      pos += length;
+    }
+  }
+  output->resize(pos);
+  if (reader.overflowed()) {
+    return Status::Corruption("deflate: truncated payload");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status DeflateCodec::Compress(Slice input, std::string* output) const {
@@ -128,79 +227,10 @@ Status DeflateCodec::Decompress(Slice input, std::string* output) const {
   SPATE_RETURN_IF_ERROR(
       GetEnvelope(Id(), input, &payload, &original_size, &crc));
   const size_t offset = output->size();
-  // original_size is untrusted until the CRC verifies: cap the upfront
-  // allocation (the decode loops still enforce the exact size).
-  output->reserve(offset +
-                  static_cast<size_t>(std::min<uint64_t>(
-                      original_size, kMaxUntrustedReserve)));
-  if (original_size == 0) {
-    return VerifyDecoded(*output, offset, original_size, crc);
-  }
-
-  BitReader reader(payload);
-  bool final_block = false;
-  while (!final_block) {
-    final_block = reader.ReadBit();
-    std::vector<uint8_t> lit_lengths, dist_lengths;
-    SPATE_RETURN_IF_ERROR(
-        ReadCodeLengths(&reader, kLitLenSymbols, &lit_lengths));
-    SPATE_RETURN_IF_ERROR(
-        ReadCodeLengths(&reader, kNumDistSlots, &dist_lengths));
-    HuffmanDecoder lit_dec;
-    SPATE_RETURN_IF_ERROR(lit_dec.Init(lit_lengths));
-    HuffmanDecoder dist_dec;
-    // A block with no matches has an empty distance alphabet.
-    bool has_dists = false;
-    for (uint8_t l : dist_lengths) has_dists |= (l != 0);
-    if (has_dists) SPATE_RETURN_IF_ERROR(dist_dec.Init(dist_lengths));
-
-    for (;;) {
-      const int32_t sym = lit_dec.Decode(&reader);
-      if (sym < 0 || reader.overflowed()) {
-        return Status::Corruption("deflate: malformed symbol stream");
-      }
-      if (sym < 256) {
-        output->push_back(static_cast<char>(sym));
-        continue;
-      }
-      if (sym == kEob) break;
-      const int lslot = sym - 257;
-      if (lslot >= kNumLengthSlots) {
-        return Status::Corruption("deflate: bad length slot");
-      }
-      const uint32_t length =
-          kLengthBase[lslot] +
-          static_cast<uint32_t>(reader.ReadBits(kLengthExtraBits[lslot]));
-      if (!has_dists) {
-        return Status::Corruption("deflate: match without distance table");
-      }
-      const int32_t dslot = dist_dec.Decode(&reader);
-      if (dslot < 0 || dslot >= kNumDistSlots) {
-        return Status::Corruption("deflate: bad distance slot");
-      }
-      const uint32_t distance =
-          kDistBase[dslot] +
-          static_cast<uint32_t>(reader.ReadBits(kDistExtraBits[dslot]));
-      const size_t produced = output->size() - offset;
-      if (distance > produced) {
-        return Status::Corruption("deflate: distance before stream start");
-      }
-      if (produced + length > original_size) {
-        return Status::Corruption("deflate: output overruns recorded size");
-      }
-      const size_t from = output->size() - distance;
-      for (uint32_t i = 0; i < length; ++i) {
-        output->push_back((*output)[from + i]);
-      }
-    }
-    if (output->size() - offset > original_size) {
-      return Status::Corruption("deflate: output overruns recorded size");
-    }
-  }
-  if (reader.overflowed()) {
-    return Status::Corruption("deflate: truncated payload");
-  }
-  return VerifyDecoded(*output, offset, original_size, crc);
+  Status status = Inflate(payload, original_size, output);
+  if (status.ok()) status = VerifyDecoded(*output, offset, original_size, crc);
+  if (!status.ok()) output->resize(offset);
+  return status;
 }
 
 }  // namespace spate

@@ -1,6 +1,7 @@
 #include "compress/huffman.h"
 
 #include <algorithm>
+#include <array>
 
 namespace spate {
 namespace {
@@ -14,24 +15,24 @@ uint32_t ReverseBits(uint32_t code, int length) {
   return out;
 }
 
-/// Assigns canonical (MSB-first) codes from lengths; returns codes indexed
-/// by symbol (not yet bit-reversed).
-std::vector<uint32_t> CanonicalCodes(const std::vector<uint8_t>& lengths) {
-  std::vector<uint32_t> bl_count(kMaxHuffmanBits + 1, 0);
+/// First canonical (MSB-first) code of each code length (RFC 1951, 3.2.2):
+/// the symbols of one length take consecutive codes from `next_code[len]`,
+/// in symbol order. A fixed-size array, so assigning codes allocates
+/// nothing.
+using CodeTable = std::array<uint32_t, kMaxHuffmanBits + 1>;
+
+CodeTable FirstCodes(const std::vector<uint8_t>& lengths) {
+  CodeTable bl_count{};
   for (uint8_t len : lengths) {
     if (len) ++bl_count[len];
   }
-  std::vector<uint32_t> next_code(kMaxHuffmanBits + 2, 0);
+  CodeTable next_code{};
   uint32_t code = 0;
   for (int bits = 1; bits <= kMaxHuffmanBits; ++bits) {
     code = (code + bl_count[bits - 1]) << 1;
     next_code[bits] = code;
   }
-  std::vector<uint32_t> codes(lengths.size(), 0);
-  for (size_t s = 0; s < lengths.size(); ++s) {
-    if (lengths[s]) codes[s] = next_code[lengths[s]]++;
-  }
-  return codes;
+  return next_code;
 }
 
 }  // namespace
@@ -113,10 +114,11 @@ std::vector<uint8_t> BuildHuffmanCodeLengths(
 
 HuffmanEncoder::HuffmanEncoder(const std::vector<uint8_t>& lengths)
     : lengths_(lengths) {
-  std::vector<uint32_t> canonical = CanonicalCodes(lengths);
+  CodeTable next_code = FirstCodes(lengths);
   codes_.resize(lengths.size(), 0);
   for (size_t s = 0; s < lengths.size(); ++s) {
-    if (lengths[s]) codes_[s] = ReverseBits(canonical[s], lengths[s]);
+    const uint8_t len = lengths[s];
+    if (len) codes_[s] = ReverseBits(next_code[len]++, len);
   }
 }
 
@@ -143,12 +145,12 @@ Status HuffmanDecoder::Init(const std::vector<uint8_t>& lengths) {
     return Status::Corruption("huffman code lengths are not a prefix code");
   }
 
-  std::vector<uint32_t> canonical = CanonicalCodes(lengths);
+  CodeTable next_code = FirstCodes(lengths);
   table_.assign(1u << max_bits_, Entry{});
   for (size_t s = 0; s < lengths.size(); ++s) {
     const uint8_t len = lengths[s];
     if (len == 0) continue;
-    const uint32_t rev = ReverseBits(canonical[s], len);
+    const uint32_t rev = ReverseBits(next_code[len]++, len);
     // Fill every table slot whose low `len` bits equal the reversed code.
     for (uint32_t hi = 0; hi < (1u << (max_bits_ - len)); ++hi) {
       Entry& e = table_[rev | (hi << len)];
@@ -172,8 +174,13 @@ Status ReadCodeLengths(BitReader* reader, size_t max_symbols,
     return Status::Corruption("code length table too large");
   }
   lengths->resize(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    (*lengths)[i] = static_cast<uint8_t>(reader->ReadBits(4));
+  // Twelve 4-bit entries per 48-bit read; the last read takes the rest.
+  for (uint64_t i = 0; i < count; i += 12) {
+    const int n = static_cast<int>(std::min<uint64_t>(12, count - i));
+    uint64_t word = reader->ReadBits(4 * n);
+    for (int j = 0; j < n; ++j, word >>= 4) {
+      (*lengths)[i + j] = static_cast<uint8_t>(word & 0xf);
+    }
   }
   if (reader->overflowed()) {
     return Status::Corruption("truncated code length table");

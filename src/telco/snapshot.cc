@@ -1,5 +1,6 @@
 #include "telco/snapshot.h"
 
+#include <algorithm>
 #include <string_view>
 
 #include "common/strings.h"
@@ -17,12 +18,18 @@ void AppendRows(const std::vector<Record>& rows, std::string* out) {
   }
 }
 
-Record ParseRow(std::string_view line) {
+/// Splits one CSV line into its fields in a single pass, reserving `width`
+/// fields up front (callers pass the previous row's width).
+Record ParseRow(std::string_view line, size_t width) {
   Record row;
-  const auto fields = SplitString(line, ',');
-  row.reserve(fields.size());
-  for (auto f : fields) row.emplace_back(f);
+  row.reserve(width);
+  SplitString(line, ',', &row);
   return row;
+}
+
+/// The width of the row last parsed into `rows`, as the next row's guess.
+size_t LastWidth(const std::vector<Record>& rows) {
+  return rows.empty() ? 0 : rows.back().size();
 }
 
 /// Consumes one '\n'-terminated line from the front of `*text` (the final
@@ -79,12 +86,15 @@ Status ParseSnapshot(Slice text, Snapshot* snapshot) {
       return Status::Corruption("snapshot: bad section row count");
     }
     rows->clear();
-    rows->reserve(static_cast<size_t>(count));
+    // The count is untrusted: every row takes at least one byte of the
+    // remaining text, so reserve no more rows than there are bytes left.
+    rows->reserve(static_cast<size_t>(
+        std::min<uint64_t>(static_cast<uint64_t>(count), rest.size())));
     for (int64_t i = 0; i < count; ++i) {
       if (!NextLine(&rest, &line)) {
         return Status::Corruption("snapshot: truncated section");
       }
-      rows->push_back(ParseRow(line));
+      rows->push_back(ParseRow(line, LastWidth(*rows)));
     }
     return Status::OK();
   };
@@ -106,7 +116,7 @@ Status ParseCells(Slice text, std::vector<Record>* cells) {
   std::string_view line;
   while (NextLine(&rest, &line)) {
     if (line.empty()) continue;
-    cells->push_back(ParseRow(line));
+    cells->push_back(ParseRow(line, LastWidth(*cells)));
   }
   return Status::OK();
 }

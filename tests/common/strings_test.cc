@@ -6,17 +6,24 @@ namespace spate {
 namespace {
 
 TEST(StringsTest, SplitKeepsEmptyFields) {
-  auto parts = SplitString("a,b,,c,", ',');
+  std::vector<std::string> parts;
+  SplitString("a,b,,c,", ',', &parts);
   ASSERT_EQ(parts.size(), 5u);
   EXPECT_EQ(parts[0], "a");
   EXPECT_EQ(parts[1], "b");
   EXPECT_EQ(parts[2], "");
   EXPECT_EQ(parts[3], "c");
   EXPECT_EQ(parts[4], "");
+  // Fields are appended after what `*out` already holds.
+  SplitString("d", ',', &parts);
+  ASSERT_EQ(parts.size(), 6u);
+  EXPECT_EQ(parts[0], "a");
+  EXPECT_EQ(parts[5], "d");
 }
 
 TEST(StringsTest, SplitEmptyInput) {
-  auto parts = SplitString("", ',');
+  std::vector<std::string> parts;
+  SplitString("", ',', &parts);
   ASSERT_EQ(parts.size(), 1u);
   EXPECT_EQ(parts[0], "");
 }

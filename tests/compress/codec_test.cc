@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <tuple>
 #include <vector>
 
@@ -221,17 +222,21 @@ TEST(CodecRegistryTest, LookupByIdMatchesName) {
   EXPECT_EQ(CodecRegistry::GetById(200), nullptr);
 }
 
-TEST(DeflateCodecTest, RejectsDistanceBeforeStreamStart) {
-  // A hand-built deflate block whose first token is a length-3 match at
-  // distance 5, before any byte has been produced: the decoder must reject
-  // the back-reference instead of copying from before its output.
-  const Codec* codec = CodecRegistry::Get("deflate");
-  ASSERT_NE(codec, nullptr);
+/// A hand-built one-block deflate envelope that records `recorded` as its
+/// original text. Its codes cover the literal 'x', end of block, length
+/// slot 0 (match length 3) and distance slot 4 (distance 5 plus one extra
+/// bit); `emit` writes the block's tokens, and the end-of-block code
+/// follows them.
+std::string HandBuiltDeflate(
+    const Codec& codec, Slice recorded,
+    const std::function<void(const HuffmanEncoder& lit,
+                             const HuffmanEncoder& dist, BitWriter*)>& emit) {
   std::string blob;
-  compress_internal::PutEnvelope(codec->Id(), Slice("abcdefgh"), &blob);
+  compress_internal::PutEnvelope(codec.Id(), recorded, &blob);
   std::vector<uint8_t> lit_lengths(257 + kNumLengthSlots, 0);
-  lit_lengths[256] = 1;  // end of block
-  lit_lengths[257] = 1;  // length slot 0: match length 3
+  lit_lengths['x'] = 1;
+  lit_lengths[256] = 2;  // end of block
+  lit_lengths[257] = 2;  // length slot 0: match length 3
   std::vector<uint8_t> dist_lengths(kNumDistSlots, 0);
   dist_lengths[4] = 1;  // distance slot 4: distance 5 plus one extra bit
   const HuffmanEncoder lit_enc(lit_lengths);
@@ -240,11 +245,26 @@ TEST(DeflateCodecTest, RejectsDistanceBeforeStreamStart) {
   writer.WriteBit(true);  // final block
   WriteCodeLengths(&writer, lit_lengths);
   WriteCodeLengths(&writer, dist_lengths);
-  lit_enc.Encode(&writer, 257);
-  dist_enc.Encode(&writer, 4);
-  writer.WriteBits(0, kDistExtraBits[4]);
+  emit(lit_enc, dist_enc, &writer);
   lit_enc.Encode(&writer, 256);
   writer.Finish();
+  return blob;
+}
+
+TEST(DeflateCodecTest, RejectsDistanceBeforeStreamStart) {
+  // The first token is a length-3 match at distance 5, before any byte has
+  // been produced: the decoder must reject the back-reference instead of
+  // copying from before its output.
+  const Codec* codec = CodecRegistry::Get("deflate");
+  ASSERT_NE(codec, nullptr);
+  const std::string blob = HandBuiltDeflate(
+      *codec, Slice("abcdefgh"),
+      [](const HuffmanEncoder& lit, const HuffmanEncoder& dist,
+         BitWriter* writer) {
+        lit.Encode(writer, 257);
+        dist.Encode(writer, 4);
+        writer->WriteBits(0, kDistExtraBits[4]);
+      });
 
   std::string output;
   const Status status = codec->Decompress(blob, &output);
@@ -252,6 +272,61 @@ TEST(DeflateCodecTest, RejectsDistanceBeforeStreamStart) {
   EXPECT_NE(status.ToString().find("distance before stream start"),
             std::string::npos)
       << status.ToString();
+}
+
+TEST(DeflateCodecTest, LiteralsPastRecordedSizeFailAndLeaveOutputAlone) {
+  // Six literals against a recorded size of four: the fifth must fail at
+  // its write, and `*output` must come back exactly as it was passed in.
+  const Codec* codec = CodecRegistry::Get("deflate");
+  ASSERT_NE(codec, nullptr);
+  const std::string blob = HandBuiltDeflate(
+      *codec, Slice("xxxx"),
+      [](const HuffmanEncoder& lit, const HuffmanEncoder&, BitWriter* writer) {
+        for (int i = 0; i < 6; ++i) lit.Encode(writer, 'x');
+      });
+
+  std::string output = "kept";
+  const Status status = codec->Decompress(blob, &output);
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_NE(status.ToString().find("output overruns recorded size"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(output, "kept");
+}
+
+TEST(DeflateCodecTest, OverlappingMatchesRoundTrip) {
+  // A period-1..3 text is all matches of the maximum length 258 whose
+  // source overlaps their destination, which the decoder copies forward.
+  const Codec* codec = CodecRegistry::Get("deflate");
+  ASSERT_NE(codec, nullptr);
+  for (size_t period = 1; period <= 3; ++period) {
+    std::string input;
+    for (size_t i = 0; i < 258 * 16 + period; ++i) {
+      input.push_back(static_cast<char>('a' + i % period));
+    }
+    std::string blob;
+    ASSERT_TRUE(codec->Compress(input, &blob).ok());
+    EXPECT_LT(blob.size(), input.size() / 20) << "period " << period;
+    std::string output = "head:";
+    ASSERT_TRUE(codec->Decompress(blob, &output).ok()) << "period " << period;
+    EXPECT_EQ(output, "head:" + input) << "period " << period;
+  }
+}
+
+TEST(DeflateCodecTest, OutputLargerThanFirstAllocationRoundTrips) {
+  // The first allocation is capped at kMaxUntrustedReserve; a larger
+  // recorded size is reached only through the buffer's growth.
+  const Codec* codec = CodecRegistry::Get("deflate");
+  ASSERT_NE(codec, nullptr);
+  Rng rng(17);
+  const std::string row = MakeTelcoishText(rng, 16);
+  std::string input;
+  while (input.size() <= kMaxUntrustedReserve + (1u << 20)) input += row;
+  std::string blob;
+  ASSERT_TRUE(codec->Compress(input, &blob).ok());
+  std::string output = "head:";
+  ASSERT_TRUE(codec->Decompress(blob, &output).ok());
+  EXPECT_TRUE(output == "head:" + input);
 }
 
 }  // namespace

@@ -85,6 +85,34 @@ TEST(SnapshotTest, ParseRejectsBadCount) {
                   .IsCorruption());
 }
 
+TEST(SnapshotTest, ParseRejectsImplausibleRowCount) {
+  // Row counts are untrusted: one no text could hold must come back as
+  // Corruption, not as an allocation sized from the header.
+  Snapshot parsed;
+  EXPECT_TRUE(ParseSnapshot(Slice("#SPATE-SNAPSHOT 201601221530\n"
+                                  "#CDR 400000000000\na,b\n"),
+                            &parsed)
+                  .IsCorruption());
+  EXPECT_TRUE(ParseSnapshot(Slice("#SPATE-SNAPSHOT 201601221530\n#CDR 0\n"
+                                  "#NMS 400000000000\n"),
+                            &parsed)
+                  .IsCorruption());
+}
+
+TEST(SnapshotTest, ParseRowKeepsEmptyFields) {
+  // Fields split on every comma, keeping empty ones, and an empty line is
+  // a row of one empty field.
+  Snapshot parsed;
+  ASSERT_TRUE(ParseSnapshot(Slice("#SPATE-SNAPSHOT 201601221530\n#CDR 3\n"
+                                  "a,b,,c,\n\n,\n#NMS 0\n"),
+                            &parsed)
+                  .ok());
+  ASSERT_EQ(parsed.cdr.size(), 3u);
+  EXPECT_EQ(parsed.cdr[0], (Record{"a", "b", "", "c", ""}));
+  EXPECT_EQ(parsed.cdr[1], (Record{""}));
+  EXPECT_EQ(parsed.cdr[2], (Record{"", ""}));
+}
+
 TEST(CellSerializationTest, RoundTrip) {
   std::vector<Record> cells = {
       {"c0001", "a0001", "100.0", "200.0", "LTE", "0", "500", "R01",

@@ -29,10 +29,12 @@ Checks, over src/ (and headers' include guards):
      section covers every aggregate function of src/sql/ast.h's
      AggregateFn, every comparison operator, and every statement clause;
   7. adversarial-bytes hygiene in src/compress/ (the decoders that parse
-     hostile input): no raw memcpy/memmove — unaligned loads go through
-     the audited helpers in common/coding.h (LoadLe32, GetFixed*) — and
-     no C-style narrowing casts, which silently truncate attacker-reaching
-     length fields; write static_cast so the narrowing is visible;
+     hostile input) and in the two src/common readers of the same bytes,
+     bit_stream.h and crc32.cc: no raw memcpy/memmove — unaligned loads go
+     through the audited helpers in common/coding.h (LoadLe32, LoadLe64,
+     GetFixed*) — and no C-style narrowing casts, which silently truncate
+     attacker-reaching length fields; write static_cast so the narrowing
+     is visible;
   8. fuzz-coverage registry: every decode-side entry point declared in a
      src/compress/*.h header (Status-returning functions whose names say
      they parse input: Decompress/Decode/Verify/Open/GetEnvelope/Init/
@@ -135,7 +137,11 @@ def expected_guard(rel_path):
     return "SPATE_" + re.sub(r"[/\\.]", "_", stem).upper() + "_"
 
 
-# Rule 7: raw byte copies and silent truncation in the decoder sources.
+# Rule 7: raw byte copies and silent truncation in the decoder sources:
+# everything under src/compress/, plus the src/common readers that load
+# words straight from untrusted bytes.
+HOSTILE_INPUT_READERS = (os.path.join("src", "common", "bit_stream.h"),
+                         os.path.join("src", "common", "crc32.cc"))
 MEMCPY_RE = re.compile(r"\b(?:std::)?mem(?:cpy|move)\s*\(")
 NARROWING_CAST_RE = re.compile(
     r"\(\s*(?:unsigned\s+|signed\s+)?"
@@ -153,32 +159,40 @@ STATUS_FN_RE = re.compile(
 FUZZ_COVERS_RE = re.compile(r"^//\s*FUZZ-COVERS:\s*(\S+):(\w+)\s*$")
 
 
+def hostile_input_sources():
+    """Yields the paths rule 7 scans: src/compress/ and the src/common
+    readers listed in HOSTILE_INPUT_READERS."""
+    for root, _, names in os.walk(os.path.join(SRC, "compress")):
+        for name in sorted(names):
+            if name.endswith((".cc", ".h")):
+                yield os.path.join(root, name)
+    for rel in HOSTILE_INPUT_READERS:
+        path = os.path.join(REPO, rel)
+        if os.path.isfile(path):
+            yield path
+
+
 def check_compress_hygiene(findings):
     """Rule 7: no raw memcpy/memmove or C-style narrowing casts in the
-    hostile-input decoders under src/compress/."""
-    compress_dir = os.path.join(SRC, "compress")
-    for root, _, names in os.walk(compress_dir):
-        for name in sorted(names):
-            if not name.endswith((".cc", ".h")):
-                continue
-            path = os.path.join(root, name)
-            rel = os.path.relpath(path, REPO)
-            with open(path, encoding="utf-8") as f:
-                lines = f.read().splitlines()
-            for number, raw in enumerate(lines, start=1):
-                code = strip_comments_and_strings(raw)
-                if MEMCPY_RE.search(code):
-                    findings.append(
-                        f"{rel}:{number}: raw memcpy/memmove in a decoder —"
-                        " load input bytes through common/coding.h"
-                        " (LoadLe32 / GetFixed32 / GetFixed64) so every"
-                        " untrusted read is bounds-audited in one place"
-                        " (rule 7)")
-                if NARROWING_CAST_RE.search(code):
-                    findings.append(
-                        f"{rel}:{number}: C-style cast on a decode path —"
-                        " write static_cast<> so narrowing of an"
-                        " attacker-reaching length is explicit (rule 7)")
+    hostile-input decoders."""
+    for path in hostile_input_sources():
+        rel = os.path.relpath(path, REPO)
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        for number, raw in enumerate(lines, start=1):
+            code = strip_comments_and_strings(raw)
+            if MEMCPY_RE.search(code):
+                findings.append(
+                    f"{rel}:{number}: raw memcpy/memmove in a decoder —"
+                    " load input bytes through common/coding.h"
+                    " (LoadLe32 / LoadLe64 / GetFixed32 / GetFixed64) so"
+                    " every untrusted read is bounds-audited in one place"
+                    " (rule 7)")
+            if NARROWING_CAST_RE.search(code):
+                findings.append(
+                    f"{rel}:{number}: C-style cast on a decode path —"
+                    " write static_cast<> so narrowing of an"
+                    " attacker-reaching length is explicit (rule 7)")
 
 
 def compress_decode_entry_points():

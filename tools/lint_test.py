@@ -3,7 +3,8 @@
 
 Builds synthetic repo trees in a tempdir and runs the linter against them
 with --root, asserting that a clean decoder passes and that each violation
-class — raw memcpy in a decoder, a C-style narrowing cast, a decode entry
+class — raw memcpy in a decoder (or in one of the src/common word
+readers rule 7 also scans), a C-style narrowing cast, a decode entry
 point without a fuzz target, a stale FUZZ-COVERS claim — fails with the
 expected finding. This is the CI gate's proof that the gate itself works;
 run it with `python3 tools/lint_test.py` (the static-analysis job does).
@@ -38,6 +39,18 @@ namespace spate {
 int Helper(unsigned char byte) { return static_cast<int>(byte); }
 }  // namespace spate
 """
+
+# A word load written as a raw copy; placed under src/common/ it tests
+# which files rule 7 scans there.
+def word_load_header(stem):
+    guard = "SPATE_COMMON_" + stem.upper() + "_H_"
+    return (f"#ifndef {guard}\n#define {guard}\n\n"
+            "namespace spate {\n"
+            "inline unsigned long Load(const unsigned char* p) {\n"
+            "  unsigned long v = 0; memcpy(&v, p, 8); return v;\n"
+            "}\n"
+            "}  // namespace spate\n\n"
+            f"#endif  // {guard}\n")
 
 HARNESS = """\
 // FUZZ-COVERS: good.h:Decompress
@@ -97,6 +110,21 @@ class LintRule7And8Test(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("rule 7", stderr)
         self.assertIn("static_cast", stderr)
+
+    def test_memcpy_in_common_bit_reader_fails_rule7(self):
+        write(self.root, "src/common/bit_stream.h",
+              word_load_header("bit_stream"))
+        code, stderr = run_lint(self.root)
+        self.assertEqual(code, 1)
+        self.assertIn("src/common/bit_stream.h:6: raw memcpy", stderr)
+        self.assertIn("rule 7", stderr)
+
+    def test_coding_helpers_stay_the_audited_home(self):
+        # (A partial src/common/ trips the concurrency-table rule; only
+        # rule 7's silence matters here.)
+        write(self.root, "src/common/coding.h", word_load_header("coding"))
+        _, stderr = run_lint(self.root)
+        self.assertNotIn("rule 7", stderr)
 
     def test_unclaimed_entry_point_fails_rule8(self):
         write(self.root, "fuzz/fuzz_good.cc",

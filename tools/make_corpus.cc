@@ -4,8 +4,9 @@
 //
 // Writes one subdirectory per fuzz target (envelope/, chunked/, columnar/,
 // coding/, sql/), each seeded with *valid* blobs produced by the real
-// encoders — the fuzzer then mutates structurally-plausible inputs instead
-// of spending its budget rediscovering magics and varint framing. Output is
+// encoders (chunked/ also gets a real snapshot text) — the fuzzer then
+// mutates structurally-plausible inputs instead of spending its budget
+// rediscovering magics and varint framing. Output is
 // fully deterministic (fixed sample data, no clocks, no randomness), so
 // regenerating the corpus is reproducible: see EXPERIMENTS.md "Fuzzing".
 
@@ -21,6 +22,7 @@
 #include "compress/columnar.h"
 #include "compress/huffman.h"
 #include "compress/tans.h"
+#include "telco/snapshot.h"
 
 namespace {
 
@@ -46,6 +48,24 @@ std::string SampleText(size_t rows) {
     text += "\n";
   }
   return text;
+}
+
+/// A real two-section snapshot text, the row-text format `ParseSnapshot`
+/// reads, so the fuzzer's mutations of it start past the header.
+std::string SampleSnapshotText() {
+  spate::Snapshot snapshot;
+  snapshot.epoch_start = spate::ParseCompact("201603141030");
+  for (int i = 0; i < 6; ++i) {
+    snapshot.cdr.push_back({"2016031410" + std::to_string(30 + i),
+                            "caller" + std::to_string(i % 4), "",
+                            i % 2 == 0 ? "voice" : "sms",
+                            std::to_string(60 + 7 * i)});
+  }
+  for (int i = 0; i < 3; ++i) {
+    snapshot.nms.push_back({"201603141030", "cell" + std::to_string(i),
+                            std::to_string(0.5 * i), ""});
+  }
+  return spate::SerializeSnapshot(snapshot);
 }
 
 bool WriteSeed(const std::filesystem::path& dir, const std::string& name,
@@ -123,6 +143,19 @@ int main(int argc, char** argv) {
     }
     ok = ok && WriteSeed(out_root / "chunked",
                          std::string(name) + "_single", single);
+  }
+  // ...and a snapshot text, raw and in a container, for the harness's
+  // row-text parser.
+  {
+    const std::string snapshot = SampleSnapshotText();
+    ok = ok && WriteSeed(out_root / "chunked", "snapshot_text", snapshot);
+    std::string packed;
+    if (!spate::ChunkedCompress(*CodecRegistry::Get("deflate"), snapshot,
+                                4096, nullptr, &packed)
+             .ok()) {
+      return 1;
+    }
+    ok = ok && WriteSeed(out_root / "chunked", "snapshot_deflate", packed);
   }
 
   // columnar/: shredded-column-shaped 0xCD containers.
