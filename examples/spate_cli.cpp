@@ -29,9 +29,9 @@
 //                          per-shard breaker/queue/fallback state (the
 //                          serving tier, src/serve/)
 //   scan-stats [n]         drive n overlapping exploration queries
-//                          (default 24) through a shared ScanScheduler on
-//                          4 client threads, then print the cooperative
-//                          shared-scan counters and the decoded-fragment
+//                          (default 24) through one ScanScheduler from 4
+//                          concurrent reader threads, then print the
+//                          scheduler's counters and the decoded-fragment
 //                          cache counters (src/query/scan_scheduler.h,
 //                          src/core/fragment_cache.h)
 //   help / quit
@@ -194,12 +194,12 @@ void RunServeStats(const TraceGenerator& generator, int requests) {
 }
 
 /// `scan-stats [n]`: drives n overlapping 8-epoch exploration windows
-/// through one ScanScheduler from 4 concurrent client threads (the
-/// cooperative shared-scan path, src/query/scan_scheduler.h), then prints
-/// the scheduler's pass/join/detach counters and the decoded-fragment
-/// cache's hit/eviction/residency counters. The scheduler is built once
-/// and kept, so repeated invocations show counters accumulating and the
-/// second run answering mostly from the warm fragment cache.
+/// through one ScanScheduler from 4 concurrent reader threads
+/// (src/query/scan_scheduler.h), then prints the scheduler's read/detach
+/// counters and the decoded-fragment cache's hit/eviction/residency
+/// counters. The scheduler is built once and kept, so repeated invocations
+/// show counters accumulating and the second run answering mostly from the
+/// warm fragment cache.
 void RunScanStats(SpateFramework* spate, const TraceGenerator& generator,
                   int queries) {
   static std::unique_ptr<ScanScheduler> scheduler;
@@ -216,7 +216,7 @@ void RunScanStats(SpateFramework* spate, const TraceGenerator& generator,
   for (int c = 0; c < kThreads; ++c) {
     clients.emplace_back([&, c] {
       // Client c asks windows offset by half a window from its neighbour:
-      // a 50%-overlap chain, so concurrent clients merge into shared passes
+      // a 50%-overlap chain, so concurrent readers share in-flight decodes
       // and successive rounds rescan warm fragments.
       for (int i = c; i < queries; i += kThreads) {
         ExplorationQuery query;
@@ -225,7 +225,10 @@ void RunScanStats(SpateFramework* spate, const TraceGenerator& generator,
             ((i * (window_epochs / 2)) % positions) * kEpochSeconds;
         query.window_end =
             query.window_begin + window_epochs * kEpochSeconds;
-        if (!scheduler->Execute(query).ok()) ++errors[static_cast<size_t>(c)];
+        QueryContext ctx;
+        if (!scheduler->Execute(query, &ctx).ok()) {
+          ++errors[static_cast<size_t>(c)];
+        }
       }
     });
   }
@@ -235,18 +238,14 @@ void RunScanStats(SpateFramework* spate, const TraceGenerator& generator,
   }
 
   const ScanSchedulerStats s = scheduler->stats();
-  printf("shared scans: %llu passes started, %llu joins (%llu mid-pass), "
-         "%llu detached\n",
+  printf("readers: %llu exact reads (%llu leaves), %llu detached\n",
          static_cast<unsigned long long>(s.passes_started),
-         static_cast<unsigned long long>(s.shared_pass_joins),
-         static_cast<unsigned long long>(s.mid_pass_attaches),
+         static_cast<unsigned long long>(s.leaves_folded),
          static_cast<unsigned long long>(s.waiters_detached));
-  printf("              %llu summary-only, %llu exclusive sections, "
-         "%llu leaf folds\n",
+  printf("         %llu summary-only, %llu exclusive sections\n",
          static_cast<unsigned long long>(s.summary_answers),
-         static_cast<unsigned long long>(s.exclusive_runs),
-         static_cast<unsigned long long>(s.leaves_folded));
-  printf("              %s decoded, %s saved by the fragment cache "
+         static_cast<unsigned long long>(s.exclusive_runs));
+  printf("         %s decoded, %s saved by the fragment cache "
          "(%llu hits)\n",
          HumanBytes(s.bytes_decoded).c_str(),
          HumanBytes(s.bytes_decoded_saved).c_str(),
@@ -535,7 +534,7 @@ int main(int argc, char** argv) {
   TraceGenerator generator(trace);
   SpateOptions options;
   // A modest decoded-fragment cache so `scan-stats` (and repeated scans in
-  // general) demonstrate the cooperative-scan path with warm fragments.
+  // general) demonstrate concurrent readers sharing warm fragments.
   options.fragment_cache_bytes = 64u << 20;
   SpateFramework spate(options, generator.cells());
   fprintf(stderr, "Loading %d day(s) of synthetic telco traffic... ",
@@ -573,7 +572,7 @@ int main(int argc, char** argv) {
              "  stats | decay <days> | quit\n"
              "  fsck | corrupt <seed> | repair | locks\n"
              "  serve-stats [n]         serving-tier tenant/shard counters\n"
-             "  scan-stats [n]          shared-scan + fragment-cache "
+             "  scan-stats [n]          concurrent-reader + fragment-cache "
              "counters\n");
       continue;
     }

@@ -54,8 +54,8 @@ Site g_sites[] = {
      "recovery load of one resident leaf blob", {}, {}, {}, {}},
     {"pool.submit",
      "bounded thread-pool admission (TrySubmit)", {}, {}, {}, {}},
-    {"query.scan_scheduler.pass",
-     "shared-pass launch boundary (ScanScheduler::RunPass)", {}, {}, {}, {}},
+    {"query.scan_scheduler.read",
+     "exact-read boundary (ScanScheduler::Execute)", {}, {}, {}, {}},
     {"serve.admission.admit",
      "per-tenant admission decision (AdmissionQueue)", {}, {}, {}, {}},
     {"serve.shard.dispatch",

@@ -75,14 +75,12 @@ Status ParseWidthsRle(Slice* input, std::vector<uint32_t>* widths) {
 /// single per-chunk decode funnel, so the fragment cache plugs in here: a
 /// hit serves the plaintext without touching the codec (and without
 /// charging `*bytes_decoded` — the scope counts the avoided bytes instead),
-/// a miss decodes and admits the result under the chunk's name.
+/// a miss decodes and admits the result under the chunk's name. A failed
+/// decode leaves its claim to the scope, which releases it.
 Status DecodeChunk(const ColumnarReader& reader, std::string_view name,
                    std::string* data, uint64_t* bytes_decoded,
                    FragmentCacheScope* fragments = nullptr) {
-  if (fragments != nullptr && fragments->cache != nullptr &&
-      fragments->cache->Lookup(fragments->leaf_epoch, name, data)) {
-    ++fragments->hits;
-    fragments->bytes_saved += data->size();
+  if (fragments != nullptr && fragments->Lookup(name, data)) {
     return Status::OK();
   }
   const ColumnarReader::ChunkRef* chunk = reader.Find(name);
@@ -92,9 +90,7 @@ Status DecodeChunk(const ColumnarReader& reader, std::string_view name,
   }
   SPATE_RETURN_IF_ERROR(ColumnarReader::Decode(*chunk, data));
   if (bytes_decoded != nullptr) *bytes_decoded += data->size();
-  if (fragments != nullptr && fragments->cache != nullptr) {
-    fragments->cache->Insert(fragments->leaf_epoch, name, *data);
-  }
+  if (fragments != nullptr) fragments->Insert(name, *data);
   return Status::OK();
 }
 

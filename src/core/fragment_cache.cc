@@ -30,25 +30,33 @@ void FragmentCache::DropLeaf(Timestamp leaf_epoch) {
 }
 
 bool FragmentCache::Lookup(Timestamp leaf_epoch, std::string_view fragment,
-                           std::string* value) {
+                           std::string* value, bool claim) {
+  const std::string key = MakeKey(leaf_epoch, fragment);
   MutexLock lock(&mu_);
-  const auto it = index_.find(MakeKey(leaf_epoch, fragment));
-  if (it == index_.end()) {
-    ++stats_.misses;
-    return false;
+  for (;;) {
+    const auto it = index_.find(key);
+    if (it != index_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      *value = it->second->value;
+      ++stats_.fragment_hits;
+      stats_.bytes_decoded_saved += value->size();
+      return true;
+    }
+    if (!claim || claims_.insert(key).second) break;
+    // Another reader is decoding this fragment: wait for its Insert or
+    // Release, then look again. The wait spans one fragment decode.
+    claim_released_.Wait(&mu_);
   }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  *value = it->second->value;
-  ++stats_.fragment_hits;
-  stats_.bytes_decoded_saved += value->size();
-  return true;
+  ++stats_.misses;
+  return false;
 }
 
 void FragmentCache::Insert(Timestamp leaf_epoch, std::string_view fragment,
                            std::string value) {
-  MutexLock lock(&mu_);
-  if (value.empty() || value.size() > byte_budget_) return;
   std::string key = MakeKey(leaf_epoch, fragment);
+  MutexLock lock(&mu_);
+  ReleaseClaimLocked(key);
+  if (value.empty() || value.size() > byte_budget_) return;
   const auto it = index_.find(key);
   if (it != index_.end()) {
     resident_bytes_ -= it->second->value.size();
@@ -66,6 +74,16 @@ void FragmentCache::Insert(Timestamp leaf_epoch, std::string_view fragment,
   epoch_bytes_[leaf_epoch] += lru_.front().value.size();
   index_.emplace(std::move(key), lru_.begin());
   ++stats_.insertions;
+}
+
+void FragmentCache::Release(Timestamp leaf_epoch, std::string_view fragment) {
+  const std::string key = MakeKey(leaf_epoch, fragment);
+  MutexLock lock(&mu_);
+  ReleaseClaimLocked(key);
+}
+
+void FragmentCache::ReleaseClaimLocked(const std::string& key) {
+  if (claims_.erase(key) != 0) claim_released_.NotifyAll();
 }
 
 void FragmentCache::EvictFor(size_t need) {
@@ -93,6 +111,32 @@ FragmentCacheStats FragmentCache::stats() const {
   out.resident_bytes = resident_bytes_;
   out.resident_entries = lru_.size();
   return out;
+}
+
+bool FragmentCacheScope::Lookup(std::string_view fragment,
+                                std::string* value) {
+  if (cache_ == nullptr) return false;
+  // One claim at a time: a scope never waits while it holds a claim.
+  Release();
+  if (cache_->Lookup(leaf_epoch_, fragment, value, claim_)) {
+    ++hits_;
+    bytes_saved_ += value->size();
+    return true;
+  }
+  if (claim_) claimed_.assign(fragment);
+  return false;
+}
+
+void FragmentCacheScope::Insert(std::string_view fragment, std::string value) {
+  if (cache_ == nullptr) return;
+  if (claimed_ == fragment) claimed_.clear();
+  cache_->Insert(leaf_epoch_, fragment, std::move(value));
+}
+
+void FragmentCacheScope::Release() {
+  if (claimed_.empty()) return;
+  cache_->Release(leaf_epoch_, claimed_);
+  claimed_.clear();
 }
 
 }  // namespace spate

@@ -4,6 +4,7 @@
 #include <functional>
 #include <string_view>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.h"
@@ -284,6 +285,10 @@ class Framework {
 
   /// The raw CELL table rows (for SQL over the CELL table).
   virtual const std::vector<Record>& cell_rows() const = 0;
+
+ protected:
+  /// For an `Execute` override that records the stats of the read it ran.
+  void set_last_scan_stats(ScanStats stats) { last_scan_ = std::move(stats); }
 
  private:
   ScanStats last_scan_;

@@ -316,29 +316,33 @@ Status SpateFramework::DecodeLeafWith(const LeafNode& leaf,
   if (leaf.decayed) {
     return Status::NotFound("leaf decayed: " + leaf.dfs_path);
   }
+  // Single-flight decode under the pool rule (core/fragment_cache.h): a
+  // scan's calling thread claims its misses and waits on other readers'
+  // claims, while the workers of a parallel scan (null `decode_pool` beside
+  // a pool) never wait, since a claim's holder may be waiting for them.
+  FragmentCacheScope fragments(fragment_cache_.get(), leaf.epoch_start,
+                               decode_pool != nullptr || pool_ == nullptr);
   // Fragment cache: a row leaf's whole decompressed text lives under the
-  // "@row" pseudo-chunk. A hit skips the DFS read too and charges no
-  // decoded bytes. Columnar leaves cache per chunk instead — their "@row"
-  // probe always misses.
+  // "@row" pseudo-chunk, and a hit skips the DFS read too. A columnar leaf
+  // caches per chunk, so it skips this probe, which could only miss.
   std::string text;
-  FragmentCache* const cache = fragment_cache_.get();
-  if (cache != nullptr &&
-      cache->Lookup(leaf.epoch_start, kRowFragmentName, &text)) {
+  if (!leaf.decode_stats.columnar &&
+      fragments.Lookup(kRowFragmentName, &text)) {
     ++out->fragment_hits;
     out->fragment_bytes_saved += text.size();
   } else {
     SPATE_ASSIGN_OR_RETURN(std::string blob, dfs_->ReadFile(leaf.dfs_path));
+    // The blob's leading byte picks the decoder.
     if (IsColumnarBlob(blob)) {
       // The pushdown proper: decode only the column chunks the projections
       // call for (every chunk for an unrestricted scan), and with a cell
       // restriction only the matching rows, straight into the snapshot.
       // The fragment scope serves/admits individual chunk plaintexts.
-      FragmentCacheScope fragments{cache, leaf.epoch_start, 0, 0};
       const Status status = DecodeColumnarLeaf(
           blob, restriction.cdr, restriction.nms, restriction.wanted_cells(),
           &out->snapshot, &out->bytes_decoded, &fragments);
-      out->fragment_hits += fragments.hits;
-      out->fragment_bytes_saved += fragments.bytes_saved;
+      out->fragment_hits += fragments.hits();
+      out->fragment_bytes_saved += fragments.bytes_saved();
       return status;
     }
     // Row leaf (plain or chunked blob); chunk parts may decode on the pool,
@@ -346,9 +350,7 @@ Status SpateFramework::DecodeLeafWith(const LeafNode& leaf,
     // fan-out (then decode_pool is null — no nested fan-out).
     SPATE_RETURN_IF_ERROR(ChunkedDecompress(blob, decode_pool, &text));
     out->bytes_decoded += text.size();
-    if (cache != nullptr) {
-      cache->Insert(leaf.epoch_start, kRowFragmentName, text);
-    }
+    fragments.Insert(kRowFragmentName, text);
   }
   if (!restriction.restricted()) return ParseSnapshot(text, &out->snapshot);
   // Row leaf under a projection or box: full parse, then restrict in
@@ -383,6 +385,14 @@ size_t SpateFramework::RunDecay(const DecayPolicy& policy, Timestamp now) {
 }
 
 Result<QueryResult> SpateFramework::Execute(const ExplorationQuery& query) {
+  QueryContext ctx;
+  Result<QueryResult> result = Execute(query, &ctx);
+  set_last_scan_stats(std::move(ctx.stats));
+  return result;
+}
+
+Result<QueryResult> SpateFramework::Execute(const ExplorationQuery& query,
+                                            QueryContext* ctx) {
   if (query.window_begin >= query.window_end) {
     return Status::InvalidArgument("query window is empty");
   }
@@ -396,12 +406,13 @@ Result<QueryResult> SpateFramework::Execute(const ExplorationQuery& query) {
   // composes with that restriction to the same bytes the full-decode path
   // produces.
   QueryResult scan;
-  SPATE_RETURN_IF_ERROR(
-      ScanWindowProjected(query, [&](const Snapshot& snapshot) {
-        FilterSnapshotRows(snapshot, query, cells_, &scan.cdr_rows,
-                           &scan.nms_rows);
-      }));
-  scan.skipped_epochs = last_scan_stats().skipped_epochs;
+  const size_t first_skip = ctx->stats.skipped_epochs.size();
+  SPATE_RETURN_IF_ERROR(Scan(query, ctx, [&](const Snapshot& snapshot) {
+    FilterSnapshotRows(snapshot, query, cells_, &scan.cdr_rows,
+                       &scan.nms_rows);
+  }));
+  scan.skipped_epochs.assign(ctx->stats.skipped_epochs.begin() + first_skip,
+                             ctx->stats.skipped_epochs.end());
   return BuildAnswer(query, std::move(scan));
 }
 

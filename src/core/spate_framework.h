@@ -112,11 +112,14 @@ struct RecoveryReport {
 /// index with materialized highlights, and decaying of aged raw data.
 ///
 /// Concurrency: the framework parallelizes *internally* (per
-/// `ParallelismOptions`). `Scan`s with distinct `QueryContext`s may run
-/// concurrently — a scan keeps all its state in its context and reads only
-/// const index state — but not alongside a mutator (`Ingest`, `RunDecay`).
+/// `ParallelismOptions`). Reads with distinct `QueryContext`s — `Scan` and
+/// `Execute(query, ctx)` — may run concurrently: a read keeps all its state
+/// in its context and reads only const index state, and concurrent readers
+/// of one leaf share its decodes through the fragment cache's single-flight
+/// claims. No read may run alongside a mutator (`Ingest`, `RunDecay`).
 /// Mutators and the stats-recording wrappers (`ScanWindow`,
-/// `ScanWindowProjected`, `Execute`) are externally synchronized. The
+/// `ScanWindowProjected`, `Execute(query)`) are externally synchronized;
+/// `ScanScheduler` is that synchronization for concurrent callers. The
 /// fan-out happens below the API: ingest compresses one snapshot's chunks
 /// concurrently, and a scan decodes its in-window leaves concurrently and
 /// folds their stats into its context before returning. See DESIGN.md
@@ -157,7 +160,16 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
   const IngestStats& last_ingest_stats() const override {
     return last_ingest_;
   }
+  /// `Execute(query, ctx)` with a fresh context, whose stats
+  /// `last_scan_stats()` then reports (empty when no scan ran).
   Result<QueryResult> Execute(const ExplorationQuery& query) override;
+  /// The reentrant read: answers a fully resolved window exactly by a
+  /// projected `Scan` under `ctx` (its token bounds the scan; its stats
+  /// receive the scan's), and a decayed one from the covering highlights
+  /// without a scan. Degraded reads drop the rows and answer from the
+  /// covering summary too, marked `degraded`.
+  Result<QueryResult> Execute(const ExplorationQuery& query,
+                              QueryContext* ctx);
   /// Projection + spatial pushdown: columnar leaves decode only the column
   /// chunks covering the query's attributes (plus ts/cell id for the
   /// predicates) and, with a box, materialize only the matching rows via
@@ -199,18 +211,6 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
 
   const SpateOptions& options() const { return options_; }
 
-  /// The one place an exploration answer is assembled: `Execute` and the
-  /// shared-scan scheduler both finish through it. `scan` holds what a
-  /// scan of the fully resolved window folded — the filtered rows, plus
-  /// the epochs storage faults hid in `skipped_epochs` — and is empty when
-  /// the window is not fully resolved, so no scan ran. A complete scan
-  /// answers exactly, with the window's summary; otherwise the rows are
-  /// dropped and the smallest covering node's highlights answer, marked
-  /// `degraded` when faults (not decay) forced it. Reads only const index
-  /// state.
-  QueryResult BuildAnswer(const ExplorationQuery& query,
-                          std::optional<QueryResult> scan) const;
-
   /// The pipeline's shared worker pool (nullptr when `worker_count == 1`).
   /// Exposed so analytics tasks can reuse it instead of spawning their own;
   /// see DESIGN.md "Concurrency model" for what may run on it concurrently.
@@ -235,6 +235,16 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
   /// DFS path of the raw (compressed) snapshot for an epoch.
   static std::string LeafPath(Timestamp epoch_start);
 
+  /// Assembles `Execute`'s answer. `scan` holds what a scan of the fully
+  /// resolved window folded — the filtered rows, plus the epochs storage
+  /// faults hid in `skipped_epochs` — and is empty when the window is not
+  /// fully resolved, so no scan ran. A complete scan answers exactly, with
+  /// the window's summary; otherwise the rows are dropped and the smallest
+  /// covering node's highlights answer, marked `degraded` when faults (not
+  /// decay) forced it. Reads only const index state.
+  QueryResult BuildAnswer(const ExplorationQuery& query,
+                          std::optional<QueryResult> scan) const;
+
   /// One leaf as a scan decoded it, folded into `ScanStats` in leaf order.
   struct DecodedLeaf {
     Status status;
@@ -252,7 +262,8 @@ class SPATE_EXTERNALLY_SYNCHRONIZED SpateFramework : public Framework {
   /// "@row"), parse it and restrict in memory. `decode_pool` (may be null)
   /// is where a row blob's chunk parts may fan out — null for the workers
   /// of a parallel scan, which fans out across leaves OR across chunk
-  /// parts, never both nested. Touches nothing but `out`, the (thread-safe)
+  /// parts, never both nested; those workers also never wait on another
+  /// reader's fragment claim. Touches nothing but `out`, the (thread-safe)
   /// DFS and fragment cache, so concurrent scans and their workers call it
   /// freely.
   Status DecodeLeafWith(const LeafNode& leaf,

@@ -117,20 +117,19 @@ void Shard::RunQuery(
       failure = live;
       break;
     }
-    // Whole-result cache first (internally synchronized), then the shared
-    // scan: overlapping concurrent queries on this shard ride one leaf
-    // pass, and a waiter whose deadline expires detaches without
-    // cancelling it. `pass_bytes_decoded` (the whole pass's decode cost,
-    // an upper bound on this query's own) prices the cache insert.
-    SharedExecInfo info;
+    // Whole-result cache first (internally synchronized), then a read
+    // under the scheduler's lease, concurrent with this shard's other
+    // workers' reads; the token ends only this read. The read's own
+    // decoded bytes price the cache insert.
+    QueryContext ctx{cancel.get(), {}};
     std::optional<QueryResult> cached =
         cache_.Lookup(query, framework_->cells());
     Result<QueryResult> result =
         cached.has_value() ? Result<QueryResult>(*std::move(cached))
-                           : scheduler_.Execute(query, cancel.get(), &info);
+                           : scheduler_.Execute(query, &ctx);
     if (!cached.has_value() && result.ok() && result->exact &&
         query.window_end <= ingested_until) {
-      cache_.Insert(query, *result, info.pass_bytes_decoded);
+      cache_.Insert(query, *result, ctx.stats.bytes_decoded);
     }
     {
       MutexLock lock(&mu_);

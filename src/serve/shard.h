@@ -33,11 +33,10 @@ struct ShardTuning {
   BreakerOptions breaker;
   /// Seed of the shard's backoff-jitter Rng (mixed with the shard index).
   uint64_t seed = 0x5ba7e;
-  /// Worker threads per shard. 1 (the default) keeps today's behavior —
-  /// one query at a time per shard. More workers run queries concurrently
-  /// *through the shard's `ScanScheduler`*, which merges overlapping
-  /// windows into shared leaf passes (the framework itself still sees one
-  /// scan at a time).
+  /// Worker threads per shard. 1 (the default) runs one query at a time
+  /// per shard. More workers read the framework concurrently under the
+  /// shard's `ScanScheduler` lease; readers of one leaf decode each
+  /// fragment once through the fragment cache.
   int workers = 1;
 };
 
@@ -54,7 +53,7 @@ struct ShardStats {
   /// Highlight-only fallback answers served for this shard.
   uint64_t fallbacks = 0;
   ResultCache::CacheStats cache;
-  /// Shared-scan scheduler counters (passes, joins, detaches, bytes).
+  /// Scheduler counters (reads, detaches, summary answers, bytes).
   ScanSchedulerStats scheduler;
   /// Decoded-fragment cache counters (zero when the shard's
   /// `SpateOptions::fragment_cache_bytes` is 0).
@@ -67,10 +66,10 @@ struct ShardStats {
 /// threads.
 ///
 /// The framework's surface is externally synchronized; the shard's
-/// `ScanScheduler` *is* that synchronization: every query runs through
-/// `scheduler_.Execute` (which merges concurrent overlapping windows into
-/// one shared leaf pass — with one worker that degenerates to today's
-/// serial behavior) and every ingest through `scheduler_.RunExclusive`.
+/// `ScanScheduler` *is* that synchronization: every query reads through
+/// `scheduler_.Execute` under a read lease (the shard's workers read
+/// concurrently, each with its own `QueryContext`) and every ingest runs
+/// through `scheduler_.RunExclusive`, which drains them first.
 /// The bounded queue is the shard's backpressure.
 /// Around that core the shard keeps a thin thread-safe shell —
 /// mutex rank "Shard.mu" — guarding only the circuit breaker, the counters
@@ -137,9 +136,8 @@ class Shard {
   /// ingested epoch (`ingested_until_`), and starting at or after the
   /// decay horizon `Ingest` hands it.
   ResultCache cache_;
-  /// Cooperative shared scans over `framework_` — also the framework's
-  /// external synchronization (queries take read leases, ingest runs
-  /// exclusive).
+  /// The framework's external synchronization: queries take read leases,
+  /// ingest runs exclusive.
   ScanScheduler scheduler_;
   /// Rank "Shard.mu" (docs/LOCK_ORDER.md): guards the breaker, counters,
   /// mirror, ingest bound and jitter Rng only — held for short bookkeeping

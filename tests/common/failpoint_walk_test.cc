@@ -237,12 +237,12 @@ TEST(FailpointWalkTest, EveryRegisteredSiteTripsAndTheStoreStaysConsistent) {
       "index.load.leaf",             "serve.admission.admit",
   };
   // Sites absorbed by the serving tier's degradation ladder. The
-  // scan-scheduler pass boundary sits under the shard's retry loop: the
+  // scan-scheduler read boundary sits under the shard's retry loop: the
   // hard kIOError is permanent (serve/retry_policy.h), so the shard fails
   // and the gather answers from its highlight mirror instead.
   const std::set<std::string, std::less<>> kDegradesServe = {
       "pool.submit",
-      "query.scan_scheduler.pass",
+      "query.scan_scheduler.read",
       "serve.shard.dispatch",
   };
 

@@ -17,7 +17,7 @@ namespace {
 // A seeded history of ingests, decays and Q(a,b,w) queries, replayed on
 // four stores that differ only in leaf layout, fragment-cache budget and
 // worker count. A decoded fragment lives as long as its leaf (DESIGN.md
-// "Shared scans & fragment cache"): no history may make a cached store
+// "Concurrent reads & fragment cache"): no history may make a cached store
 // answer differently from the uncached reference, and no decay may leave an
 // evicted leaf's fragments resident.
 

@@ -18,8 +18,9 @@ namespace {
 // `Framework::Scan` keeps every per-call value in the caller's
 // `QueryContext`, so reads with distinct contexts may share one framework.
 // Concurrent scans (run under TSan in CI) must match a serial run field for
-// field, and a context's token must cancel its own scan on the parallel
-// decode path too.
+// field, a context's token must cancel its own scan on the parallel decode
+// path too, and the fragment cache's single-flight claims must never
+// deadlock the shared worker pool.
 
 constexpr int kWorkers = 4;
 /// More leaves than one parallel decode batch (`kWorkers * 4`).
@@ -38,10 +39,13 @@ TraceConfig ContextTrace() {
 
 std::unique_ptr<SpateFramework> BuildStore(const TraceGenerator& gen,
                                            LeafLayout layout,
-                                           size_t fragment_cache_bytes) {
+                                           size_t fragment_cache_bytes,
+                                           size_t ingest_chunk_bytes =
+                                               kDefaultChunkBytes) {
   SpateOptions options;
   options.leaf_layout = layout;
   options.parallelism.worker_count = kWorkers;
+  options.parallelism.ingest_chunk_bytes = ingest_chunk_bytes;
   options.fragment_cache_bytes = fragment_cache_bytes;
   options.dfs.block_size = 256 * 1024;
   auto framework = std::make_unique<SpateFramework>(options, gen.cells());
@@ -182,6 +186,61 @@ TEST(QueryContextTest, ParallelScanObservesItsTokenBetweenBatches) {
   EXPECT_LT(streamed, kLeaves);
   EXPECT_EQ(ctx.stats.leaves_scanned, streamed);
   EXPECT_TRUE(ctx.stats.complete());
+}
+
+TEST(QueryContextTest, ShortAndLongRowScansShareDecodesWithoutDeadlock) {
+  // Small ingest chunks give every row blob many parts. A short scan (1-2
+  // leaves) takes the serial path: its calling thread claims a leaf's
+  // "@row" text and waits for the parts to decode on the pool. A long scan
+  // takes the parallel path, whose pool workers decode whole leaves. Were
+  // those workers to wait on a short scan's claim, every worker could
+  // block on a holder that waits for a free worker; the pool rule (workers
+  // never wait) must keep every run finishing.
+  constexpr size_t kChunkBytes = 2048;
+  const TraceGenerator gen(ContextTrace());
+  const TraceConfig& config = gen.config();
+  auto window = [&](size_t first, size_t leaves) {
+    ExplorationQuery query;
+    query.window_begin = config.start + first * kEpochSeconds;
+    query.window_end = query.window_begin + leaves * kEpochSeconds;
+    return query;
+  };
+  constexpr int kThreads = 8;
+  std::vector<ExplorationQuery> queries;
+  for (int t = 0; t < kThreads; ++t) {
+    queries.push_back(t % 2 == 0 ? window(0, kLeaves)
+                                 : window(static_cast<size_t>(t) * 3,
+                                          1 + static_cast<size_t>(t) / 4));
+  }
+  // References from an uncached store: the cached stores below start cold,
+  // so their claims are contended from the first leaf on.
+  auto reference = BuildStore(gen, LeafLayout::kRow, 0, kChunkBytes);
+  std::vector<ScanRecord> expected;
+  for (const ExplorationQuery& query : queries) {
+    expected.push_back(RecordScan(reference.get(), query));
+    ASSERT_TRUE(expected.back().status.ok());
+  }
+
+  for (int run = 0; run < 20; ++run) {
+    auto framework =
+        BuildStore(gen, LeafLayout::kRow, 64u << 20, kChunkBytes);
+    std::vector<ScanRecord> records(kThreads);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        records[t] = RecordScan(framework.get(), queries[t]);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (int t = 0; t < kThreads; ++t) {
+      ExpectSameScan(expected[t], records[t],
+                     "run " + std::to_string(run) + " thread " +
+                         std::to_string(t));
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -12,6 +13,7 @@
 #include "common/cancel.h"
 #include "common/failpoint.h"
 #include "common/random.h"
+#include "core/columnar_leaf.h"
 #include "core/fragment_cache.h"
 #include "core/spate_framework.h"
 #include "serve/server.h"
@@ -20,13 +22,13 @@
 namespace spate {
 namespace {
 
-// Cooperative shared scans + the fragment cache (DESIGN.md "Shared scans &
+// Concurrent readers + the fragment cache (DESIGN.md "Concurrent reads &
 // fragment cache"). The load-bearing contract: whatever the concurrency,
 // the leaf layout, the cache budget (including a thrashing one) and the
 // fault state, every query answered through the `ScanScheduler` is
-// bit-identical to a private serial `SpateFramework::Execute` — the shared
-// pass and the cache only change *how many bytes get decoded*, never a row,
-// a summary or a skipped epoch.
+// bit-identical to a private serial `SpateFramework::Execute` — concurrent
+// readers and the cache's single-flight decode only change *how many bytes
+// get decoded*, never a row, a summary or a skipped epoch.
 
 TraceConfig SharedTrace(int days = 1) {
   TraceConfig config;
@@ -58,6 +60,14 @@ std::unique_ptr<SpateFramework> IngestTrace(const TraceGenerator& gen,
     EXPECT_TRUE(framework->Ingest(gen.GenerateSnapshot(epoch)).ok());
   }
   return framework;
+}
+
+/// One read through the scheduler, with a fresh context.
+Result<QueryResult> Read(ScanScheduler* scheduler,
+                         const ExplorationQuery& query,
+                         const CancelToken* cancel = nullptr) {
+  QueryContext ctx{cancel, {}};
+  return scheduler->Execute(query, &ctx);
 }
 
 void ExpectSameResult(const QueryResult& expected, const QueryResult& actual,
@@ -199,6 +209,43 @@ TEST(FragmentCacheTest, ResidentBytesForTracksPerLeafTotals) {
   EXPECT_EQ(cache.ResidentBytesFor(3600), 5u);
 }
 
+TEST(FragmentCacheTest, ClaimedMissMakesLaterClaimersWait) {
+  FragmentCache cache(1 << 20);
+  std::string value;
+  // The first claimed miss claims the key; an unclaimed lookup neither
+  // waits nor claims.
+  ASSERT_FALSE(cache.Lookup(0, "a", &value, /*claim=*/true));
+  EXPECT_FALSE(cache.Lookup(0, "a", &value));
+
+  // A second claimer waits for the first one's Insert, then hits. (The
+  // pause lets it block first; the outcome is the same either way.)
+  std::atomic<bool> hit{false};
+  std::thread waiter([&] {
+    std::string got;
+    hit = cache.Lookup(0, "a", &got, /*claim=*/true) && got == "decoded";
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  cache.Insert(0, "a", "decoded");
+  waiter.join();
+  EXPECT_TRUE(hit);
+
+  // A released claim (failed decode) wakes its waiter to a miss, which
+  // then holds the claim itself until its own Insert.
+  ASSERT_FALSE(cache.Lookup(0, "b", &value, /*claim=*/true));
+  std::atomic<bool> missed{false};
+  std::thread retrier([&] {
+    std::string got;
+    missed = !cache.Lookup(0, "b", &got, /*claim=*/true);
+    if (missed) cache.Insert(0, "b", "retried");
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  cache.Release(0, "b");
+  retrier.join();
+  EXPECT_TRUE(missed);
+  ASSERT_TRUE(cache.Lookup(0, "b", &value, /*claim=*/true));
+  EXPECT_EQ(value, "retried");
+}
+
 // ---------------------------------------------------------------------------
 // Fragment cache wired into the framework's decode funnel.
 
@@ -228,6 +275,30 @@ TEST(FragmentCacheFrameworkTest, RepeatColumnarScanHitsAndSavesBytes) {
   ASSERT_NE(cache, nullptr);
   EXPECT_GT(cache->stats().fragment_hits, 0u);
   EXPECT_GT(cache->stats().resident_bytes, 0u);
+}
+
+TEST(FragmentCacheFrameworkTest, WarmColumnarRescanCountsNoMiss) {
+  TraceGenerator gen(SharedTrace());
+  const std::vector<Timestamp> epochs = gen.EpochStarts();
+  auto framework =
+      IngestTrace(gen, StoreOptions(LeafLayout::kColumnar, 32 << 20), 36);
+  // Twelve daytime leaves: every chunk they decode is non-empty, so the
+  // cold scan leaves all of them resident.
+  ExplorationQuery query;
+  query.window_begin = epochs[20];
+  query.window_end = epochs[32];
+  ASSERT_TRUE(framework->Execute(query).ok());
+  const FragmentCache* cache = framework->fragment_cache();
+  ASSERT_NE(cache, nullptr);
+  const FragmentCacheStats cold = cache->stats();
+
+  ASSERT_TRUE(framework->Execute(query).ok());
+  const FragmentCacheStats warm = cache->stats();
+  // A columnar leaf caches per chunk and never probes the row text, so a
+  // fully resident rescan is all hits.
+  EXPECT_EQ(warm.misses, cold.misses);
+  EXPECT_GT(warm.fragment_hits, cold.fragment_hits);
+  EXPECT_EQ(framework->last_scan_stats().bytes_decoded, 0u);
 }
 
 TEST(FragmentCacheFrameworkTest, RowLeavesCacheTheirMaterializedText) {
@@ -290,7 +361,7 @@ TEST(FragmentCacheFrameworkTest, IngestKeepsFragmentsAndDecayDropsEvicted) {
 }
 
 // ---------------------------------------------------------------------------
-// ScanScheduler: serial identity, deterministic merge accounting.
+// ScanScheduler: serial identity, single-flight decode accounting.
 
 TEST(SharedScanTest, SerialSchedulerMatchesPrivateExecute) {
   TraceGenerator gen(SharedTrace());
@@ -302,32 +373,33 @@ TEST(SharedScanTest, SerialSchedulerMatchesPrivateExecute) {
     for (int i = 0; i < 20; ++i) {
       const ExplorationQuery query = RandomQuery(&rng, gen.config(), extent);
       auto expected = framework->Execute(query);
-      auto actual = scheduler.Execute(query);
+      auto actual = Read(&scheduler, query);
       ASSERT_EQ(expected.ok(), actual.ok()) << "query " << i;
       if (!expected.ok()) continue;
       ExpectSameResult(*expected, *actual,
                        "layout " + std::to_string(static_cast<int>(layout)) +
                            " query " + std::to_string(i));
     }
-    const ScanSchedulerStats stats = scheduler.stats();
-    EXPECT_GT(stats.passes_started, 0u);
-    EXPECT_EQ(stats.shared_pass_joins, 0u);  // serial: nobody to share with
+    // Nothing decayed: every query was one exact read.
+    EXPECT_EQ(scheduler.stats().passes_started, 20u);
   }
 }
 
-TEST(SharedScanTest, IdenticalConcurrentQueriesMergeExactly) {
+TEST(SharedScanTest, IdenticalConcurrentReadersDecodeEachFragmentOnce) {
   TraceGenerator gen(SharedTrace());
-  // No fragment cache: every pass decodes the full window, so the byte
-  // accounting below is exact rather than an inequality.
-  auto framework = IngestTrace(gen, StoreOptions(LeafLayout::kColumnar, 0), 12);
   ExplorationQuery query;
   query.window_begin = gen.config().start;
   query.window_end = gen.config().start + 12 * kEpochSeconds;
-  auto expected = framework->Execute(query);
+  // The reference comes from an uncached store, so it decodes the whole
+  // window: one window's decode cost.
+  auto uncached = IngestTrace(gen, StoreOptions(LeafLayout::kColumnar, 0), 12);
+  auto expected = uncached->Execute(query);
   ASSERT_TRUE(expected.ok());
-  const uint64_t pass_bytes = framework->last_scan_stats().bytes_decoded;
-  ASSERT_GT(pass_bytes, 0u);
+  const uint64_t window_bytes = uncached->last_scan_stats().bytes_decoded;
+  ASSERT_GT(window_bytes, 0u);
 
+  auto framework =
+      IngestTrace(gen, StoreOptions(LeafLayout::kColumnar, 32 << 20), 12);
   ScanScheduler scheduler(framework.get());
   constexpr int kClients = 8;
   std::vector<Result<QueryResult>> results(kClients, Status::Internal("unset"));
@@ -335,7 +407,7 @@ TEST(SharedScanTest, IdenticalConcurrentQueriesMergeExactly) {
     std::vector<std::thread> threads;
     for (int i = 0; i < kClients; ++i) {
       threads.emplace_back(
-          [&, i] { results[i] = scheduler.Execute(query); });
+          [&, i] { results[i] = Read(&scheduler, query); });
     }
     for (std::thread& t : threads) t.join();
   }
@@ -343,22 +415,20 @@ TEST(SharedScanTest, IdenticalConcurrentQueriesMergeExactly) {
     ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
     ExpectSameResult(*expected, *results[i], "client " + std::to_string(i));
   }
-  // Interleaving-independent invariants: every client either started a pass
-  // or rode one, and the total decode cost is exactly one full window per
-  // pass — never one per client.
+  // Interleaving-independent: whichever reader misses first claims each
+  // fragment and the others wait for its decode, so all eight readers
+  // together decode exactly one window — never one per reader.
   const ScanSchedulerStats stats = scheduler.stats();
-  EXPECT_GE(stats.passes_started, 1u);
-  EXPECT_LE(stats.passes_started, static_cast<uint64_t>(kClients));
-  EXPECT_EQ(stats.passes_started + stats.shared_pass_joins,
-            static_cast<uint64_t>(kClients));
-  EXPECT_EQ(stats.bytes_decoded, stats.passes_started * pass_bytes);
+  EXPECT_EQ(stats.passes_started, static_cast<uint64_t>(kClients));
+  EXPECT_EQ(stats.bytes_decoded, window_bytes);
   EXPECT_EQ(stats.waiters_detached, 0u);
 }
 
 // ---------------------------------------------------------------------------
 // Randomized concurrent identity across layouts and cache budgets. TSan
 // builds run this suite (the `shared_scan_test` label is in the TSan CI
-// job's -L list), so the fold/wakeup machinery is also race-checked here.
+// job's -L list), so the lease and the cache's claims are race-checked
+// here too.
 
 void RunConcurrentIdentity(SpateFramework* framework, const TraceConfig& config,
                            uint64_t seed, const std::string& label) {
@@ -382,7 +452,7 @@ void RunConcurrentIdentity(SpateFramework* framework, const TraceConfig& config,
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
         for (int i = t; i < kQueries; i += kThreads) {
-          actual[i] = scheduler.Execute(queries[i]);
+          actual[i] = Read(&scheduler, queries[i]);
         }
       });
     }
@@ -464,7 +534,7 @@ TEST(SharedScanTest, ExpiredTokenFailsBeforeTouchingStorage) {
   ExplorationQuery query;
   query.window_begin = gen.config().start;
   query.window_end = gen.config().start + 4 * kEpochSeconds;
-  auto result = scheduler.Execute(query, &cancel);
+  auto result = Read(&scheduler, query, &cancel);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsDeadlineExceeded())
       << result.status().ToString();
@@ -474,50 +544,62 @@ TEST(SharedScanTest, ExpiredTokenFailsBeforeTouchingStorage) {
   EXPECT_EQ(stats.bytes_decoded, 0u);
 }
 
-TEST(SharedScanTest, DeadlineDetachLeavesThePassRunning) {
-  // Two full days so the leader's pass streams 96 leaves — long enough that
-  // a waiter arriving at pass start with a few-millisecond deadline
-  // reliably expires mid-pass.
-  TraceGenerator gen(SharedTrace(/*days=*/2));
-  auto framework = IngestTrace(gen, StoreOptions(LeafLayout::kColumnar, 0));
+TEST(SharedScanTest, DeadlineEndsOnlyItsOwnRead) {
+  TraceGenerator gen(SharedTrace());
+  const std::vector<Timestamp> epochs = gen.EpochStarts();
+  auto framework =
+      IngestTrace(gen, StoreOptions(LeafLayout::kColumnar, 32 << 20));
   ExplorationQuery big;
-  big.window_begin = gen.config().start;
-  big.window_end = gen.config().start + 2 * 86400;
-  auto expected = framework->Execute(big);
-  ASSERT_TRUE(expected.ok());
+  big.window_begin = epochs.front();
+  big.window_end = epochs.back() + kEpochSeconds;
+
+  // The test holds the claim on a mid-window leaf's first chunk, as a
+  // reader decoding it would: every reader of the window waits there until
+  // the claim goes, so the deadline below reliably expires mid-read. The
+  // store stays cold until then (the private reference runs last).
+  FragmentCache* cache = framework->fragment_cache();
+  ASSERT_NE(cache, nullptr);
+  const Timestamp held = epochs[epochs.size() / 2];
+  std::string unused;
+  ASSERT_FALSE(cache->Lookup(held, kColumnarMetaChunk, &unused,
+                             /*claim=*/true));
 
   ScanScheduler scheduler(framework.get());
-  Result<QueryResult> leader_result = Status::Internal("unset");
-  std::thread leader(
-      [&] { leader_result = scheduler.Execute(big); });
-  while (!scheduler.pass_in_flight()) std::this_thread::yield();
+  CancelToken deadline;
+  Result<QueryResult> doomed = Status::Internal("unset");
+  std::thread doomed_reader(
+      [&] { doomed = Read(&scheduler, big, &deadline); });
+  // Its first decodes land in the cache once it is past its lease.
+  while (cache->stats().insertions == 0) std::this_thread::yield();
+  constexpr int kReaders = 3;
+  std::vector<Result<QueryResult>> shared(kReaders, Status::Internal("unset"));
+  std::vector<std::thread> readers;
+  for (int i = 0; i < kReaders; ++i) {
+    readers.emplace_back([&, i] { shared[i] = Read(&scheduler, big); });
+  }
+  deadline.SetDeadlineAfter(0);
+  cache->Release(held, kColumnarMetaChunk);
+  doomed_reader.join();
+  for (std::thread& t : readers) t.join();
 
-  // The waiter wants only the final leaf, so its rows resolve only at the
-  // very end of the pass — far past its deadline.
-  ExplorationQuery tail;
-  tail.window_begin = big.window_end - kEpochSeconds;
-  tail.window_end = big.window_end;
-  CancelToken cancel;
-  cancel.SetDeadlineAfter(0.005);
-  auto detached = scheduler.Execute(tail, &cancel);
-  leader.join();
-
-  ASSERT_FALSE(detached.ok());
-  EXPECT_TRUE(detached.status().IsDeadlineExceeded())
-      << detached.status().ToString();
-  // The detach must not have cancelled the shared pass: the leader's answer
-  // is complete and exact.
-  ASSERT_TRUE(leader_result.ok()) << leader_result.status().ToString();
-  ExpectSameResult(*expected, *leader_result, "leader after detach");
-  const ScanSchedulerStats stats = scheduler.stats();
-  EXPECT_EQ(stats.waiters_detached, 1u);
-  EXPECT_EQ(stats.passes_started, 1u);
-  // A re-issued tail query (fresh budget) succeeds and matches.
-  auto retry = scheduler.Execute(tail);
-  auto tail_expected = framework->Execute(tail);
-  ASSERT_TRUE(retry.ok());
-  ASSERT_TRUE(tail_expected.ok());
-  ExpectSameResult(*tail_expected, *retry, "tail retry");
+  ASSERT_FALSE(doomed.ok());
+  EXPECT_TRUE(doomed.status().IsDeadlineExceeded())
+      << doomed.status().ToString();
+  // The expiry ended only its own read: the readers that shared its
+  // in-flight decodes answer exactly.
+  auto expected = framework->Execute(big);
+  ASSERT_TRUE(expected.ok());
+  for (int i = 0; i < kReaders; ++i) {
+    ASSERT_TRUE(shared[i].ok()) << shared[i].status().ToString();
+    ExpectSameResult(*expected, *shared[i], "reader " + std::to_string(i));
+  }
+  EXPECT_EQ(scheduler.stats().waiters_detached, 1u);
+  // A retry with a fresh budget succeeds and matches.
+  CancelToken fresh;
+  fresh.SetDeadlineAfter(60);
+  auto retry = Read(&scheduler, big, &fresh);
+  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+  ExpectSameResult(*expected, *retry, "retry");
 }
 
 TEST(SharedScanTest, ExclusiveMutatorsInterleaveWithQueries) {
@@ -537,7 +619,7 @@ TEST(SharedScanTest, ExclusiveMutatorsInterleaveWithQueries) {
   for (int t = 0; t < 4; ++t) {
     readers.emplace_back([&] {
       for (int i = 0; i < 10; ++i) {
-        auto result = scheduler.Execute(early);
+        auto result = Read(&scheduler, early);
         if (!result.ok()) {
           failed = true;
           return;
@@ -563,7 +645,7 @@ TEST(SharedScanTest, ExclusiveMutatorsInterleaveWithQueries) {
   late.window_begin = epochs[12];
   late.window_end = epochs[19] + kEpochSeconds;
   auto late_expected = framework->Execute(late);
-  auto late_actual = scheduler.Execute(late);
+  auto late_actual = Read(&scheduler, late);
   ASSERT_TRUE(late_expected.ok());
   ASSERT_TRUE(late_actual.ok());
   ExpectSameResult(*late_expected, *late_actual, "post-ingest window");
@@ -586,18 +668,18 @@ TEST(SharedScanTest, DecayedWindowsAnswerFromSummaries) {
   decayed.window_begin = gen.config().start;
   decayed.window_end = gen.config().start + 4 * kEpochSeconds;
   auto expected = framework->Execute(decayed);
-  auto actual = scheduler.Execute(decayed);
+  auto actual = Read(&scheduler, decayed);
   ASSERT_TRUE(expected.ok());
   ASSERT_TRUE(actual.ok());
   EXPECT_FALSE(actual->exact);
   ExpectSameResult(*expected, *actual, "decayed window");
   const ScanSchedulerStats stats = scheduler.stats();
   EXPECT_GE(stats.summary_answers, 1u);
-  // No leaf pass ran for the decayed window.
+  // No exact read ran for the decayed window.
   EXPECT_EQ(stats.passes_started, 0u);
 }
 
-TEST(SharedScanTest, PassFailpointFailsWaitersAndRecovers) {
+TEST(SharedScanTest, ReadFailpointFailsTheReadAndRecovers) {
   if (!failpoint::Enabled()) {
     GTEST_SKIP() << "failpoint sites compiled out";
   }
@@ -611,24 +693,24 @@ TEST(SharedScanTest, PassFailpointFailsWaitersAndRecovers) {
   failpoint::Trigger hard;
   hard.code = StatusCode::kIOError;
   hard.nth = 1;
-  ASSERT_TRUE(failpoint::Arm("query.scan_scheduler.pass", hard).ok());
-  auto failed = scheduler.Execute(query);
+  ASSERT_TRUE(failpoint::Arm("query.scan_scheduler.read", hard).ok());
+  auto failed = Read(&scheduler, query);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kIOError);
   failpoint::DisarmAll();
   failpoint::ResetCounters();
 
-  // The failed pass left no residue: the next query runs a fresh pass and
+  // The failed read left no residue: its lease is back, and the next read
   // matches a private execute.
   auto expected = framework->Execute(query);
-  auto recovered = scheduler.Execute(query);
+  auto recovered = Read(&scheduler, query);
   ASSERT_TRUE(expected.ok());
   ASSERT_TRUE(recovered.ok());
   ExpectSameResult(*expected, *recovered, "after failpoint");
 }
 
 // ---------------------------------------------------------------------------
-// Serving tier: multi-worker shards ride the shard's scheduler.
+// Serving tier: multi-worker shards read under the shard's scheduler.
 
 TEST(SharedScanServeTest, MultiWorkerShardsMatchSingleWorker) {
   TraceGenerator gen(SharedTrace());
@@ -700,8 +782,7 @@ TEST(SharedScanServeTest, MultiWorkerShardsMatchSingleWorker) {
   // The shard schedulers actually ran the queries.
   uint64_t scheduled = 0;
   for (const ShardStats& shard : shared.Stats().shards) {
-    scheduled +=
-        shard.scheduler.passes_started + shard.scheduler.shared_pass_joins;
+    scheduled += shard.scheduler.passes_started;
   }
   EXPECT_GT(scheduled, 0u);
   // The feed moves on. A fresh query shape — no cached answer covers its
